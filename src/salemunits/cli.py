@@ -168,16 +168,23 @@ def _certificate_text(cert: SalemCertificate) -> str:
 
 def _cmd_certify(args) -> int:
     if args.from_report:
-        with open(args.from_report, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        entries = payload.get("certificates", [payload] if "trace_poly" in payload else [])
-        if not entries:
+        try:
+            with open(args.from_report, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            entries = payload.get("certificates", [payload] if "trace_poly" in payload else [])
+            certs = [SalemCertificate.from_json_dict(entry) for entry in entries]
+        except (OSError, ValueError, AttributeError, TypeError) as err:
+            print(f"malformed report {args.from_report}: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        if not certs:
             print("report contains no certificates", file=sys.stderr)
             return EXIT_CERTIFICATION
         bad = 0
-        for entry in entries:
-            cert = SalemCertificate.from_json_dict(entry)
-            failures = verify_certificate(cert)
+        for cert in certs:
+            try:
+                failures = verify_certificate(cert)
+            except Exception as err:  # a certificate that cannot be replayed fails
+                failures = [f"replay error ({err})"]
             label = f"n={cert.n} t={cert.t} a={cert.a}"
             if failures:
                 bad += 1

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .intpoly import IntPoly, gcd_over_rationals, resultant
+from .intpoly import IntPoly
+from .roots import is_separable
 
 DEFAULT_SUBSET_CAP = 1 << 24
 _FILTER_PRIME_COUNT = 5
@@ -291,12 +292,15 @@ def _hensel_lift_list(f: IntPoly, factors: list[list[int]], p: int, target: int)
 
 
 def _good_primes(p: IntPoly, count: int) -> list[int]:
-    """Smallest odd primes not dividing disc(p), so reduction mod p stays squarefree."""
-    disc = resultant(p, p.derivative())
+    """Smallest odd primes q not dividing disc(p), so reduction mod q stays squarefree.
+
+    For monic p that is gcd(p mod q, p' mod q) = 1, which avoids computing disc(p).
+    """
+    dp = p.derivative()
     out: list[int] = []
     cand = 3
     while len(out) < count:
-        if _is_prime(cand) and disc % cand != 0:
+        if _is_prime(cand) and _mp_gcd(_mp_from_poly(p, cand), _mp_from_poly(dp, cand), cand) == [1]:
             out.append(cand)
         cand += 2
     return out
@@ -344,7 +348,6 @@ def _symmetric(c: int, m: int) -> int:
 
 
 def _zassenhaus(p: IntPoly, prime: int, subset_cap: int) -> IrreducibilityWitness:
-    deg = int(p.degree)
     modular = _factor_mod_p(_mp_from_poly(p, prime), prime)
     r = len(modular)
     if r == 1:
@@ -416,7 +419,7 @@ def is_irreducible(p: IntPoly, subset_cap: int = DEFAULT_SUBSET_CAP) -> Irreduci
         raise ValueError("need a polynomial of degree at least 1")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    if p.degree > 1 and gcd_over_rationals(p, p.derivative()).degree != 0:
+    if p.degree > 1 and not is_separable(p):
         raise ValueError("polynomial must be squarefree")
     deg = int(p.degree)
     if deg >= 2 and p.coeffs[0] == 0:
@@ -465,10 +468,10 @@ def verify_witness(p: IntPoly, witness: IrreducibilityWitness) -> bool:
         if not witness.primes or len(witness.primes) != len(witness.degree_multisets):
             return False
         deg = int(p.degree)
-        if any(sum(ms) != deg for ms in witness.degree_multisets):
-            return False
         inter = -1
         for ms in witness.degree_multisets:
+            if not all(type(d) is int and d > 0 for d in ms) or sum(ms) != deg:
+                return False
             inter &= _subset_sum_mask(ms)
         return inter & ((1 << (deg + 1)) - 1) == (1 | (1 << deg))
     # exact-factorization, irreducible: consistency of the recorded data only

@@ -3,18 +3,18 @@
 Counts use the half-open convention (lo, hi]; open-interval helpers adjust by
 exact endpoint evaluation.  Chains are normalized to primitive parts each step
 (subresultant-style) so coefficients stay small, with signs corrected so the
-sequence remains a genuine Sturm chain.
+sequence remains a genuine Sturm chain.  Each polynomial object builds its
+chain once, on first use, and separability, the root pattern, counting,
+isolation and refinement all read that one chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intpoly import IntPoly, gcd_over_rationals, pseudo_rem
-
-Rat = Fraction
+from .intpoly import IntPoly, pseudo_rem
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,7 @@ class RootPattern:
         return self.below_neg2 + self.at_neg2 + self.in_neg2_2 + self.at_pos2 + self.above_pos2
 
     def to_json_dict(self) -> dict:
-        return {
-            "below_neg2": self.below_neg2,
-            "at_neg2": self.at_neg2,
-            "in_neg2_2": self.in_neg2_2,
-            "at_pos2": self.at_pos2,
-            "above_pos2": self.above_pos2,
-            "in_0_1": self.in_0_1,
-            "separable": self.separable,
-        }
+        return asdict(self)
 
 
 def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
@@ -81,56 +73,44 @@ def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """Primitive squarefree part: same distinct roots, multiplicities dropped."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    f = p.primitive()
-    if f.degree <= 0:
-        return f
-    g = gcd_over_rationals(f, f.derivative())
-    if g.degree > 0:
-        f = f.exact_div(g)
-    return f
-
-
-def is_separable(p: IntPoly) -> bool:
-    """True iff p has no repeated root, i.e. gcd(p, p') = 1."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree <= 0:
-        return True
-    return gcd_over_rationals(p, p.derivative()).degree == 0
+def _sturm_sequence(f: IntPoly) -> list[IntPoly]:
+    """f, f' and the negated pseudo-remainders, each reduced to its primitive part."""
+    chain = [f]
+    d = f.derivative()
+    if not d.is_zero:
+        chain.append(d.primitive())
+    while len(chain) >= 2 and chain[-1].degree > 0:
+        a, b = chain[-2], chain[-1]
+        r = pseudo_rem(a, b)
+        if r.is_zero:
+            break
+        # pseudo_rem = lc(b)^(deg a - deg b + 1) * (a mod b); flip so the
+        # stored element is a positive multiple of -(a mod b)
+        nxt = r if b.lc < 0 and (a.degree - b.degree) % 2 == 0 else -r
+        chain.append(nxt.scalar_div(nxt.content()))
+    return chain
 
 
 class SturmChain:
     """Sturm chain of the squarefree part of a polynomial, shareable read-only.
 
+    Built from p itself, it ends in a constant iff p is separable; otherwise
+    it ends in gcd(p, p') and is rebuilt from p / gcd(p, p').
     ``count(lo, hi)`` is the number of distinct real roots in (lo, hi].
     """
 
     def __init__(self, p: IntPoly):
-        f = squarefree_part(p)
-        self.poly = f
-        chain = [f]
-        d = f.derivative()
-        if not d.is_zero:
-            chain.append(d.primitive())
-        while len(chain) >= 2 and not chain[-1].is_zero and chain[-1].degree > 0:
-            a, b = chain[-2], chain[-1]
-            r = pseudo_rem(a, b)
-            if r.is_zero:
-                break
-            delta = int(a.degree) - int(b.degree)
-            # pseudo_rem = lc(b)^(delta+1) * (a mod b); flip so the stored
-            # element is a positive multiple of -(a mod b)
-            if b.lc < 0 and (delta + 1) % 2 == 1:
-                nxt = r
-            else:
-                nxt = -r
-            nxt = nxt.scalar_div(nxt.content())
-            chain.append(nxt)
+        if p.is_zero:
+            raise ValueError("zero polynomial")
+        chain = _sturm_sequence(p.primitive())
+        self.separable = chain[-1].degree == 0
+        if not self.separable:
+            g = chain[-1]
+            chain = _sturm_sequence(chain[0].exact_div(-g if g.lc < 0 else g))
+        # coefficients only: a chain kept on p must not refer back to p, or
+        # freeing p would wait for the cycle collector
         self.chain = [c.coeffs for c in chain]
+        self.squarefree = self.chain[0]
 
     def variations(self, x: Fraction) -> int:
         signs = [s for s in (_sign_at(c, x) for c in self.chain) if s != 0]
@@ -145,9 +125,23 @@ class SturmChain:
     def count_open(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in the open interval (lo, hi)."""
         n = self.count(lo, hi)
-        if _sign_at(self.poly.coeffs, Fraction(hi)) == 0:
+        if _sign_at(self.squarefree, Fraction(hi)) == 0:
             n -= 1
         return n
+
+
+def _chain(p: IntPoly) -> SturmChain:
+    """The chain of this polynomial object (not of its value), built on first use."""
+    chain = p.__dict__.get("_sturm_chain")
+    if chain is None:
+        chain = SturmChain(p)
+        object.__setattr__(p, "_sturm_chain", chain)
+    return chain
+
+
+def is_separable(p: IntPoly) -> bool:
+    """True iff p has no repeated root, i.e. gcd(p, p') = 1."""
+    return _chain(p).separable
 
 
 def cauchy_bound(p: IntPoly) -> Fraction:
@@ -159,12 +153,12 @@ def cauchy_bound(p: IntPoly) -> Fraction:
 
 def sturm_count(p: IntPoly, lo, hi) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    return SturmChain(p).count(Fraction(lo), Fraction(hi))
+    return _chain(p).count(Fraction(lo), Fraction(hi))
 
 
 def sturm_count_open(p: IntPoly, lo, hi) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi)."""
-    return SturmChain(p).count_open(Fraction(lo), Fraction(hi))
+    return _chain(p).count_open(Fraction(lo), Fraction(hi))
 
 
 def _isolate(chain: SturmChain, lo: Fraction, hi: Fraction) -> list[IsolatingInterval]:
@@ -172,7 +166,7 @@ def _isolate(chain: SturmChain, lo: Fraction, hi: Fraction) -> list[IsolatingInt
     if n == 0:
         return []
     if n == 1:
-        if _sign_at(chain.poly.coeffs, hi) == 0:
+        if _sign_at(chain.squarefree, hi) == 0:
             return [IsolatingInterval(hi, hi, exact_root=hi)]
         return [IsolatingInterval(lo, hi)]
     mid = (lo + hi) / 2
@@ -181,9 +175,9 @@ def _isolate(chain: SturmChain, lo: Fraction, hi: Fraction) -> list[IsolatingInt
 
 def isolate_roots(p: IntPoly, lo, hi) -> list[IsolatingInterval]:
     """Disjoint isolating intervals, ascending, one per distinct root in (lo, hi]."""
-    if not is_separable(p):
+    chain = _chain(p)
+    if not chain.separable:
         raise ValueError("polynomial is not separable")
-    chain = SturmChain(p)
     return _isolate(chain, Fraction(lo), Fraction(hi))
 
 
@@ -196,16 +190,13 @@ def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
     width = Fraction(width)
     if iv.exact_root is not None:
         return iv
-    f = squarefree_part(p)
+    chain = _chain(p)
     lo, hi = iv.lo, iv.hi
-    coeffs = f.coeffs
+    coeffs = chain.squarefree
     if _sign_at(coeffs, hi) == 0:
         return IsolatingInterval(hi, hi, exact_root=hi)
     # establish a strict sign change, bisecting by Sturm counts until then
-    chain = None
     while _sign_at(coeffs, lo) * _sign_at(coeffs, hi) >= 0:
-        if chain is None:
-            chain = SturmChain(f)
         mid = (lo + hi) / 2
         if _sign_at(coeffs, mid) == 0:
             return IsolatingInterval(mid, mid, exact_root=mid)
@@ -231,14 +222,13 @@ def root_pattern(p: IntPoly) -> RootPattern:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return RootPattern(0, 0, 0, 0, 0, 0, True)
-    sep = is_separable(p)
-    chain = SturmChain(p)
-    f = chain.poly.coeffs
-    bound = cauchy_bound(chain.poly) + 1
+    chain = _chain(p)
+    f = chain.squarefree
+    bound = cauchy_bound(p) + 1
     at_neg2 = 1 if _sign_at(f, Fraction(-2)) == 0 else 0
     at_pos2 = 1 if _sign_at(f, Fraction(2)) == 0 else 0
     below = chain.count(-bound, Fraction(-2)) - at_neg2
     inside = chain.count(Fraction(-2), Fraction(2)) - at_pos2
     above = chain.count(Fraction(2), bound)
     in01 = chain.count_open(Fraction(0), Fraction(1))
-    return RootPattern(below, at_neg2, inside, at_pos2, above, in01, sep)
+    return RootPattern(below, at_neg2, inside, at_pos2, above, in01, chain.separable)

@@ -10,7 +10,7 @@ construction so a certificate is evidence, not trust.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -84,39 +84,36 @@ class SalemCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SalemCertificate":
-        rp = d["root_pattern"]
-        lo = _frac_parse(d["beta_interval"]["lo"])
-        hi = _frac_parse(d["beta_interval"]["hi"])
-        return cls(
-            n=d["n"],
-            t=d["t"],
-            a=d.get("a"),
-            construction=d["construction"],
-            trace_poly=IntPoly.from_text(d["trace_poly"]),
-            min_poly=IntPoly.from_text(d["min_poly"]),
-            root_pattern=RootPattern(
-                below_neg2=rp["below_neg2"],
-                at_neg2=rp["at_neg2"],
-                in_neg2_2=rp["in_neg2_2"],
-                at_pos2=rp["at_pos2"],
-                above_pos2=rp["above_pos2"],
-                in_0_1=rp["in_0_1"],
-                separable=rp["separable"],
-            ),
-            beta_interval=IsolatingInterval(lo, hi, exact_root=lo if lo == hi else None),
-            alpha_decimal=d["alpha"],
-            alpha_precision=d["alpha_precision"],
-            irreducibility=IrreducibilityWitness.from_json_dict(d["irreducibility"]),
-            resultant_value=d["resultant"],
-        )
+        """Decode report JSON; raises ValueError on a missing field or a field of the wrong type."""
+        try:
+            ints = [d["n"], d["t"], d["alpha_precision"], d["resultant"]]
+            if any(type(v) is not int for v in ints) or type(d.get("a", 0)) not in (int, type(None)):
+                raise TypeError("n, t, a, alpha_precision and resultant must be integers")
+            rp = d["root_pattern"]
+            lo = Fraction(d["beta_interval"]["lo"])
+            hi = Fraction(d["beta_interval"]["hi"])
+            return cls(
+                n=d["n"],
+                t=d["t"],
+                a=d.get("a"),
+                construction=d["construction"],
+                trace_poly=IntPoly.from_text(d["trace_poly"]),
+                min_poly=IntPoly.from_text(d["min_poly"]),
+                root_pattern=RootPattern(**{f.name: rp[f.name] for f in fields(RootPattern)}),
+                beta_interval=IsolatingInterval(lo, hi, exact_root=lo if lo == hi else None),
+                alpha_decimal=d["alpha"],
+                alpha_precision=d["alpha_precision"],
+                irreducibility=IrreducibilityWitness.from_json_dict(d["irreducibility"]),
+                resultant_value=d["resultant"],
+            )
+        except KeyError as err:
+            raise ValueError(f"certificate field {err} is missing") from None
+        except (TypeError, AttributeError, ArithmeticError) as err:
+            raise ValueError(f"certificate field of the wrong type: {err}") from None
 
 
 def _frac_text(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _frac_parse(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def unit_check(s_poly: IntPoly, n: int) -> int:

@@ -108,6 +108,45 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--from-report", str(path))
         assert code == 5 and "FAIL" in out
 
+    def test_from_report_invalid_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"certificates": [')
+        code, out, err = run(capsys, "certify", "--from-report", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_from_report_missing_field_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"certificates":[{"n":12}]}')
+        code, out, err = run(capsys, "certify", "--from-report", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "missing" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", "12"), ("alpha_precision", None), ("trace_poly", 5), ("root_pattern", []), ("beta_interval", {})],
+    )
+    def test_from_report_wrong_type_exits_2(self, capsys, tmp_path, field, value):
+        path = tmp_path / "report.json"
+        run(capsys, "search", "--n", "12", "--t", "9", "--want", "1", "--output", str(path))
+        payload = json.loads(path.read_text())
+        payload["certificates"][0][field] = value
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "certify", "--from-report", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+
+    def test_from_report_one_tampered_certificate(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        run(capsys, "search", "--n", "12", "--t", "9", "--want", "2", "--output", str(path))
+        payload = json.loads(path.read_text())
+        cert = payload["certificates"][1]
+        cert["irreducibility"]["degree_multisets"] = [["1", 8]] * len(cert["irreducibility"]["primes"])
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "certify", "--from-report", str(path))
+        assert code == 5 and err == ""
+        assert [line.split()[0] for line in out.splitlines()] == ["OK", "FAIL"]
+
     def test_min_poly_unit_gap(self, capsys):
         code, _, err = run(capsys, "certify", "1,-3,1", "--n", "2")
         assert code == 5

@@ -4,16 +4,19 @@ import random
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from salemunits.factor import (
     InconclusiveFactorization,
     IrreducibilityWitness,
     _zassenhaus,
     _good_primes,
+    _is_prime,
     is_irreducible,
     verify_witness,
 )
-from salemunits.intpoly import IntPoly
+from salemunits.intpoly import IntPoly, resultant
 from salemunits.roots import is_separable
 from salemunits.trigpolys import cyclo_trace
 
@@ -190,3 +193,26 @@ class TestWitnessReplay:
             w = is_irreducible(poly)
             back = IrreducibilityWitness.from_json_dict(w.to_json_dict())
             assert back == w
+
+
+def _old_good_primes(p: IntPoly, count: int) -> list[int]:
+    """The discriminant rule: the smallest odd primes not dividing Res(p, p')."""
+    disc = resultant(p, p.derivative())
+    return [q for q in range(3, 400, 2) if _is_prime(q) and disc % q != 0][:count]
+
+
+class TestGoodPrimes:
+    @given(
+        st.lists(st.integers(-20, 20), min_size=0, max_size=7),
+        st.sampled_from([1, 3, 5, 7, 11]),
+        st.integers(-5, 5),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_discriminant_rule(self, low, q, r, m):
+        # (x - r)(x - r - q*m) puts q into disc(p) whenever q > 1
+        p = IntPoly(low + [1]) * IntPoly([-r, 1]) * IntPoly([-(r + q * m), 1])
+        assume(resultant(p, p.derivative()) != 0)
+        expected = _old_good_primes(p, 5)
+        assume(len(expected) == 5)
+        assert _good_primes(p, 5) == expected

@@ -1,14 +1,22 @@
 """Sturm counting, isolation and refinement against examples and a floating oracle."""
 
+import dataclasses
+import gc
+import json
 import random
+import sys
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from salemunits.construct import build_candidate, plan_construction
 from salemunits.intpoly import IntPoly
 from salemunits.roots import (
     IsolatingInterval,
+    RootPattern,
     SturmChain,
     cauchy_bound,
     is_separable,
@@ -18,6 +26,7 @@ from salemunits.roots import (
     sturm_count,
     sturm_count_open,
 )
+from salemunits.salem import CertificationError, SalemCertificate, certify_trace, verify_certificate
 from salemunits.trigpolys import cheb, cyclo_trace
 
 
@@ -157,3 +166,86 @@ class TestRootPattern:
 
     def test_unit_interval_field(self):
         assert root_pattern(cyclo_trace(28)).in_0_1 == 2
+
+
+class TestChainSharing:
+    """Each polynomial object builds one Sturm chain, and certification needs no gcd."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return plan_construction(44, 31)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Counts of Sturm chains built and rational gcds taken; a test clears it once its inputs exist."""
+        counts = Counter()
+        init = SturmChain.__init__
+
+        def counting_init(self, p):
+            counts["chains"] += 1
+            init(self, p)
+
+        monkeypatch.setattr(SturmChain, "__init__", counting_init)
+        gcd = sys.modules["salemunits.intpoly"].gcd_over_rationals
+
+        def counting_gcd(p, q):
+            counts["gcds"] += 1
+            return gcd(p, q)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("salemunits") and getattr(module, "gcd_over_rationals", None) is gcd:
+                monkeypatch.setattr(module, "gcd_over_rationals", counting_gcd)
+        return counts
+
+    def test_rejected_candidate(self, plan, counts):
+        candidate = build_candidate(plan, 5)
+        counts.clear()
+        with pytest.raises(CertificationError) as err:
+            certify_trace(candidate, 44, construction=plan.construction, a=5)
+        assert err.value.check == "root_pattern"
+        assert counts == {"chains": 1}
+
+    def test_certified_candidate(self, plan, counts):
+        candidate = build_candidate(plan, 29)
+        counts.clear()
+        cert = certify_trace(candidate, 44, construction=plan.construction, a=29)
+        assert cert.root_pattern.above_pos2 == 1
+        assert counts == {"chains": 1}
+
+    def test_replay_of_decoded_certificate(self, plan, counts):
+        cert = certify_trace(build_candidate(plan, 29), 44, construction=plan.construction, a=29)
+        data = json.dumps(cert.to_json_dict())
+        counts.clear()
+        assert verify_certificate(SalemCertificate.from_json_dict(json.loads(data))) == []
+        assert counts == {"chains": 1}
+
+    def test_equal_polynomial_builds_its_own_chain(self, plan, counts):
+        p, q = build_candidate(plan, 5), build_candidate(plan, 5)
+        assert p == q and p is not q
+        counts.clear()
+        assert root_pattern(p) == root_pattern(p)
+        assert counts == {"chains": 1}
+        assert root_pattern(q) == root_pattern(p)
+        assert counts == {"chains": 2}
+
+    def test_polynomial_freed_without_cycle_collector(self, plan):
+        p = build_candidate(plan, 5)
+        ref = weakref.ref(p)
+        gc.disable()
+        try:
+            root_pattern(p)
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_nonseparable_rejected_at_separability(self):
+        x = IntPoly([0, 1])
+        t = (x - 2) ** 2 * (x + 1) * (x - 5) ** 3 * IntPoly([-1, -1, 1])
+        with pytest.raises(CertificationError) as err:
+            certify_trace(t, 12)
+        assert err.value.check == "separability"
+        expected = RootPattern(0, 0, 3, 1, 1, 0, False)  # as before chains were shared
+        assert root_pattern(t) == expected
+        squarefree = (x - 2) * (x + 1) * (x - 5) * IntPoly([-1, -1, 1])
+        assert root_pattern(squarefree) == dataclasses.replace(expected, separable=True)
