@@ -306,17 +306,21 @@ def _good_primes(p: IntPoly, count: int) -> list[int]:
     return out
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    # trial division by every base first: pow(q, d, q) == 0 would read as a witness
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

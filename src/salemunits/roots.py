@@ -10,6 +10,7 @@ isolation and refinement all read that one chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
@@ -62,6 +63,7 @@ class RootPattern:
 
 def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
     """Exact sign of the polynomial at x, via homogenized integer Horner."""
+    # the loop of _value_at, inlined: Sturm counting calls this most
     if not coeffs:
         return 0
     num, den = x.numerator, x.denominator
@@ -71,6 +73,16 @@ def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
         dpow *= den
         acc = acc * num + coeffs[i] * dpow
     return (acc > 0) - (acc < 0)
+
+
+def _value_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """den^deg * p(num/den) for den > 0, by homogenized integer Horner; it has the sign of p."""
+    acc = coeffs[-1]
+    dpow = 1
+    for i in range(len(coeffs) - 2, -1, -1):
+        dpow *= den
+        acc = acc * num + coeffs[i] * dpow
+    return acc
 
 
 def _sturm_sequence(f: IntPoly) -> list[IntPoly]:
@@ -161,13 +173,17 @@ def sturm_count_open(p: IntPoly, lo, hi) -> int:
     return _chain(p).count_open(Fraction(lo), Fraction(hi))
 
 
+def _exact(x: Fraction) -> IsolatingInterval:
+    return IsolatingInterval(x, x, exact_root=x)
+
+
 def _isolate(chain: SturmChain, lo: Fraction, hi: Fraction) -> list[IsolatingInterval]:
     n = chain.count(lo, hi)
     if n == 0:
         return []
     if n == 1:
         if _sign_at(chain.squarefree, hi) == 0:
-            return [IsolatingInterval(hi, hi, exact_root=hi)]
+            return [_exact(hi)]
         return [IsolatingInterval(lo, hi)]
     mid = (lo + hi) / 2
     return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
@@ -182,38 +198,100 @@ def isolate_roots(p: IntPoly, lo, hi) -> list[IsolatingInterval]:
 
 
 def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
-    """Shrink an isolating interval to the requested width by bisection.
+    """Shrink an isolating interval to at most the requested width.
 
-    The root never escapes: either exact_root is set, or the endpoint signs of
-    the squarefree part keep bracketing it.
+    Once the endpoint signs of the squarefree part change strictly, the root
+    is located on the dyadic grid that bisection would walk, by quadratic
+    interval refinement (see ``_refine_on_grid``).  The result is the grid
+    cell, or the exact grid-point root, that bisection returns, but once the
+    secant steps land each one doubles the bits gained, where bisection gains
+    one bit per exact evaluation.
     """
     width = Fraction(width)
     if iv.exact_root is not None:
         return iv
+    if width <= 0:
+        raise ValueError("width must be positive")
     chain = _chain(p)
     lo, hi = iv.lo, iv.hi
     coeffs = chain.squarefree
     if _sign_at(coeffs, hi) == 0:
-        return IsolatingInterval(hi, hi, exact_root=hi)
+        return _exact(hi)
     # establish a strict sign change, bisecting by Sturm counts until then
     while _sign_at(coeffs, lo) * _sign_at(coeffs, hi) >= 0:
         mid = (lo + hi) / 2
         if _sign_at(coeffs, mid) == 0:
-            return IsolatingInterval(mid, mid, exact_root=mid)
+            return _exact(mid)
         if chain.count(lo, mid) == 1:
             hi = mid
         else:
             lo = mid
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        smid = _sign_at(coeffs, mid)
-        if smid == 0:
-            return IsolatingInterval(mid, mid, exact_root=mid)
-        if smid * _sign_at(coeffs, hi) < 0:
-            lo = mid
+    ratio = (hi - lo) / width
+    if ratio <= 1:
+        return IsolatingInterval(lo, hi)
+    # the least level m with (hi - lo) / 2^m <= width
+    levels = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    return _refine_on_grid(coeffs, lo, hi, levels)
+
+
+def _refine_on_grid(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, levels: int) -> IsolatingInterval:
+    """Abbott's quadratic interval refinement, kept on the dyadic grid of (lo, hi).
+
+    (lo, hi) holds one simple root with a strict sign change.  A cell on the
+    level-k grid is [x_j, x_j+1] with x_j = lo + j (hi - lo) / 2^k.  Each step
+    splits the cell into N = 2^e parts and tests, by exact signs, the part the
+    secant through the endpoint values points at; a hit squares N, a miss
+    halves e and bisects.  N is capped at the remaining levels, so the loop
+    ends on the level-``levels`` cell holding the root, or on a grid point
+    where p is 0, exactly as bisection would.  All values at level k are
+    scaled by the same (den 2^k)^deg, so the secant needs only integers.
+    """
+    d = len(coeffs) - 1
+    w = hi - lo
+    den = math.lcm(lo.denominator, w.denominator)
+    lnum, wnum = lo.numerator * (den // lo.denominator), w.numerator * (den // w.denominator)
+
+    def point(j: int, k: int) -> Fraction:
+        return Fraction((lnum << k) + j * wnum, den << k)
+
+    def value(j: int, k: int) -> int:
+        return _value_at(coeffs, (lnum << k) + j * wnum, den << k)
+
+    k = j = 0
+    vlo, vhi = value(0, 0), value(1, 0)
+    e = 2
+    while k < levels:
+        step = min(e, levels - k)
+        n, base, kk = 1 << step, j << step, k + step
+        vals = {0: vlo << d * step, n: vhi << d * step}
+        # secant estimate of the root, rounded to the nearest of the n + 1 points
+        guess = (2 * n * vlo + vlo - vhi) // (2 * (vlo - vhi))
+        if 0 < guess < n:
+            vals[guess] = value(base + guess, kk)
+            if vals[guess] == 0:
+                return _exact(point(base + guess, kk))
+            part = guess - 1 if (vals[guess] > 0) == (vhi > 0) else guess
         else:
-            hi = mid
-    return IsolatingInterval(lo, hi)
+            part = min(guess, n - 1)
+        for i in (part, part + 1):
+            if i not in vals:
+                vals[i] = value(base + i, kk)
+                if vals[i] == 0:
+                    return _exact(point(base + i, kk))
+        if (vals[part] > 0) != (vals[part + 1] > 0):
+            k, j, vlo, vhi = kk, base + part, vals[part], vals[part + 1]
+            e *= 2
+            continue
+        e = max(1, e // 2)
+        vmid = value(2 * j + 1, k + 1)
+        if vmid == 0:
+            return _exact(point(2 * j + 1, k + 1))
+        if (vmid > 0) == (vhi > 0):
+            j, vlo, vhi = 2 * j, vlo << d, vmid
+        else:
+            j, vlo, vhi = 2 * j + 1, vmid, vhi << d
+        k += 1
+    return IsolatingInterval(point(j, k), point(j + 1, k))
 
 
 def root_pattern(p: IntPoly) -> RootPattern:

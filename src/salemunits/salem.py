@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .factor import IrreducibilityWitness, is_irreducible, verify_witness
-from .intpoly import IntPoly, is_reciprocal, lift_trace, resultant
+from .intpoly import ONE, X, IntPoly, is_reciprocal, lift_trace, pseudo_rem, resultant
 from .roots import (
     IsolatingInterval,
     RootPattern,
@@ -29,6 +29,9 @@ from .roots import (
 from .trigpolys import extract_trace
 
 DEFAULT_PRECISION = 30
+# decimal digits of alpha; past about 4,290 the digit string exceeds
+# Python's default integer-to-string limit
+MAX_PRECISION = 4000
 
 
 class CertificationError(Exception):
@@ -119,14 +122,30 @@ def _frac_text(x: Fraction) -> str:
 def unit_check(s_poly: IntPoly, n: int) -> int:
     """Exact resultant of x^n - 1 and S; absolute value 1 certifies alpha^n - 1 a unit.
 
-    Always recomputed from scratch, never assumed from the construction.
+    Always recomputed from scratch, never assumed from the construction.  With
+    r = x^n mod S, found by square-and-multiply, Res(x^n - 1, S) equals
+    Res(r - 1, S) because S is monic: both are the product of rho^n - 1 over
+    the roots rho of S.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not s_poly.is_monic:
         raise ValueError("minimal polynomial must be monic")
-    xn1 = IntPoly([-1] + [0] * (n - 1) + [1])
-    return resultant(xn1, s_poly)
+    r = ONE
+    for bit in bin(n)[2:]:
+        r = r * r
+        if bit == "1":
+            r = r * X
+        if r.degree >= s_poly.degree:
+            r = pseudo_rem(r, s_poly)  # the exact remainder, as S is monic
+    r = r - 1
+    return 0 if r.is_zero else resultant(r, s_poly)
+
+
+def check_precision(digits: int) -> None:
+    """Raise ValueError unless 1 <= digits <= MAX_PRECISION."""
+    if not 1 <= digits <= MAX_PRECISION:
+        raise ValueError(f"precision must be between 1 and {MAX_PRECISION} digits (got {digits})")
 
 
 def _sqrt_enclosure(y: Fraction, digits: int) -> tuple[Fraction, Fraction]:
@@ -158,8 +177,7 @@ def alpha_from_beta(
     alpha enclosure).  ``poly`` is needed to refine the beta interval when the
     input is wider than the target precision requires.
     """
-    if precision_digits < 1:
-        raise ValueError("precision must be at least 1 digit")
+    check_precision(precision_digits)
     if beta_iv.exact_root is not None and beta_iv.exact_root <= 2:
         raise ValueError("beta must exceed 2")
     if beta_iv.exact_root is None and beta_iv.lo < 2:
@@ -223,6 +241,7 @@ def certify_trace(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    check_precision(precision_digits)
     if trace.is_zero or not trace.is_monic:
         raise CertificationError("monic", "trace polynomial must be monic", {"poly": trace.to_text()})
     t = int(trace.degree)
@@ -305,6 +324,7 @@ def certify_min_poly(
     extraction, so a failed unit property is reported even when the trace
     would be rejected on degree grounds.
     """
+    check_precision(precision_digits)
     if s_poly.is_zero or not s_poly.is_monic:
         raise CertificationError("monic", "minimal polynomial must be monic")
     if int(s_poly.degree) % 2 != 0 or not is_reciprocal(s_poly):
@@ -346,8 +366,13 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     else:
         if is_irreducible(trace).verdict != "irreducible":
             failures.append("irreducibility")
-    res = unit_check(cert.min_poly, n)
-    if res != cert.resultant_value or abs(res) != 1:
+    # unit_check is defined for n >= 1 and a monic S only
+    if (
+        n < 1
+        or not cert.min_poly.is_monic
+        or unit_check(cert.min_poly, n) != cert.resultant_value
+        or abs(cert.resultant_value) != 1
+    ):
         failures.append("resultant")
     iv = cert.beta_interval
     if iv.exact_root is not None:
@@ -355,6 +380,8 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     else:
         if iv.lo < 2 or sturm_count(trace, iv.lo, iv.hi) != 1:
             failures.append("beta_interval")
+        elif not 1 <= cert.alpha_precision <= MAX_PRECISION:
+            failures.append("alpha")
         else:
             alpha_dec, _ = alpha_from_beta(iv, cert.alpha_precision, trace)
             if alpha_dec != cert.alpha_decimal:

@@ -178,6 +178,19 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "1,-3,1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "23,-4,-6,1", "--n", "2"),
+            ("certify", "1,-3,1", "--n", "2", "--as", "min"),
+            ("search", "--n", "12", "--t", "9"),
+        ],
+    )
+    def test_precision_over_bound_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--precision", "5000")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "4000" in err
+
 
 class TestSelftest:
     def test_passes_and_deterministic(self, capsys):

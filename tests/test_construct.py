@@ -17,7 +17,7 @@ from salemunits.construct import (
 )
 from salemunits.intpoly import ONE, IntPoly, resultant, lift_trace
 from salemunits.roots import sturm_count_open
-from salemunits.salem import certify_trace
+from salemunits.salem import MAX_PRECISION, certify_trace
 from salemunits.trigpolys import cyclo_trace
 
 _x = sympy.Symbol("x")
@@ -217,6 +217,12 @@ class TestSearch:
             search(12, 9, 2, 10, 1)
         with pytest.raises(HypothesisError):
             search(20, 15)
+
+    def test_precision_bound(self):
+        # refused before planning: (20, 15) would raise HypothesisError
+        for digits in (0, MAX_PRECISION + 1):
+            with pytest.raises(ValueError, match="precision"):
+                search(20, 15, precision_digits=digits)
 
     def test_degree_one_cyclo_factor_family(self):
         # n = 4 has the degree-1 cyclotomic trace factor; the pipeline still

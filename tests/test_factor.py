@@ -195,6 +195,10 @@ class TestWitnessReplay:
             assert back == w
 
 
+def test_is_prime_matches_sympy():
+    assert [n for n in range(2000) if _is_prime(n) != sympy.isprime(n)] == []
+
+
 def _old_good_primes(p: IntPoly, count: int) -> list[int]:
     """The discriminant rule: the smallest odd primes not dividing Res(p, p')."""
     disc = resultant(p, p.derivative())

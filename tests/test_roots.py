@@ -11,7 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from salemunits import roots
 from salemunits.construct import build_candidate, plan_construction
 from salemunits.intpoly import IntPoly
 from salemunits.roots import (
@@ -147,6 +150,110 @@ class TestRefine:
         iv = IsolatingInterval(Fraction(0), Fraction(4))
         out = refine(iv, p, Fraction(1, 100))
         assert out.exact_root == 2
+
+    def test_nonpositive_width_rejected(self):
+        p = IntPoly([-2, 0, 1])
+        iv = isolate_roots(p, 0, 2)[0]
+        for width in (0, -1):
+            with pytest.raises(ValueError):
+                refine(iv, p, width)
+
+
+def _bisection_refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
+    """The plain bisection that quadratic refinement replaced, kept as an oracle."""
+    width = Fraction(width)
+    if iv.exact_root is not None:
+        return iv
+    chain = SturmChain(p)
+    f, lo, hi = IntPoly(chain.squarefree), iv.lo, iv.hi
+    if f(hi) == 0:
+        return IsolatingInterval(hi, hi, exact_root=hi)
+    while f(lo) * f(hi) >= 0:
+        mid = (lo + hi) / 2
+        if f(mid) == 0:
+            return IsolatingInterval(mid, mid, exact_root=mid)
+        if chain.count(lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fmid = f(mid)
+        if fmid == 0:
+            return IsolatingInterval(mid, mid, exact_root=mid)
+        if fmid * f(hi) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return IsolatingInterval(lo, hi)
+
+
+def _counting(fn, calls: Counter):
+    def wrapper(*args):
+        calls[fn.__name__] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+class TestQuadraticRefinement:
+    """Quadratic interval refinement returns exactly the interval bisection returns."""
+
+    @given(
+        st.lists(st.tuples(st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 5, 8, 12, 64, 1024])), max_size=3),
+        st.lists(st.integers(-9, 9), max_size=4),
+        st.integers(0, 40),
+        st.integers(1, 9),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection(self, rational_roots, low, digits, num, den):
+        # rational roots r/q with dyadic and non-dyadic q, times a random monic factor
+        p = IntPoly(low + [1])
+        for r, q in rational_roots:
+            p = p * IntPoly([-r, q])
+        assume(p.degree >= 1 and is_separable(p))
+        width = Fraction(num, den * 10**digits)
+        bound = cauchy_bound(p) + 1
+        for iv in isolate_roots(p, -bound, bound):
+            assert refine(iv, p, width) == _bisection_refine(iv, p, width)
+
+    def test_roots_on_deep_grid_points(self):
+        # one real root lo + j (hi - lo) / 2^k, k up to 130, inside a non-dyadic
+        # interval; the cofactor (x^2 + c) q^2 + 1 has no real root and bends the
+        # polynomial so that the secant often misses
+        rng = random.Random(7)
+        for _ in range(100):
+            lo = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            w = Fraction(rng.randint(1, 40), rng.randint(1, 30))
+            k = rng.randint(1, 130)
+            root = lo + rng.randrange(1, 2**k) * w / 2**k
+            q = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(0, 4))] + [1])
+            cofactor = IntPoly([rng.randint(1, 5), 0, 1]) * q * q + 1
+            p = IntPoly([-root.numerator, root.denominator]) * cofactor
+            iv = IsolatingInterval(lo, lo + w)
+            width = w / 2 ** rng.randint(max(0, k - 3), k + 5)
+            assert refine(iv, p, width) == _bisection_refine(iv, p, width)
+
+    def test_benchmark_betas(self):
+        for (n, t, a), digits in (((12, 9, 3), 60), ((44, 31, 29), 40), ((92, 61, 111), 34)):
+            p = build_candidate(plan_construction(n, t), a)
+            iv = isolate_roots(p, 2, cauchy_bound(p) + 1)[0]
+            width = Fraction(1, 10 ** (digits + 4))
+            assert refine(iv, p, width) == _bisection_refine(iv, p, width)
+
+    def test_sign_evaluation_count(self, monkeypatch):
+        # exact evaluations: _sign_at for Sturm counts and signs, _value_at for
+        # the values the secant needs; bisection takes 6,687 here
+        p = build_candidate(plan_construction(12, 9), 3)
+        iv = isolate_roots(p, 2, cauchy_bound(p) + 1)[0]
+        calls = Counter()
+        for name in ("_sign_at", "_value_at"):
+            monkeypatch.setattr(roots, name, _counting(getattr(roots, name), calls))
+        out = refine(iv, p, Fraction(1, 10**1004))
+        assert out.width <= Fraction(1, 10**1004) and p(out.lo) * p(out.hi) < 0
+        assert calls["_value_at"] > 0
+        assert calls["_sign_at"] + calls["_value_at"] <= 300
 
 
 class TestRootPattern:

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from salemunits import salem
 from salemunits.construct import build_candidate, plan_construction
-from salemunits.intpoly import IntPoly, lift_trace
+from salemunits.intpoly import IntPoly, lift_trace, resultant
 from salemunits.roots import IsolatingInterval
 from salemunits.salem import (
+    MAX_PRECISION,
     CertificationError,
     SalemCertificate,
     alpha_from_beta,
@@ -39,6 +41,21 @@ class TestUnitCheck:
     def test_requires_monic(self):
         with pytest.raises(ValueError):
             unit_check(IntPoly([1, -3, 2]), 2)
+
+    @pytest.mark.parametrize(
+        "s_poly",
+        [
+            lift_trace(_good_trace(3), 9),  # a unit for n = 12
+            IntPoly([1, -3, 1]),  # golden square: never a unit
+            IntPoly([1, 1, 1]),  # divides x^n - 1 when 3 | n: r - 1 = 0 and the value 0
+            IntPoly([-2, 0, 1]),  # not reciprocal
+            IntPoly([1, -1, 0, 2, 5, 1]),
+        ],
+    )
+    def test_matches_dense_resultant(self, s_poly):
+        for n in list(range(1, 41)) + [97, 128, 199, 200]:
+            dense = resultant(IntPoly([-1] + [0] * (n - 1) + [1]), s_poly)
+            assert unit_check(s_poly, n) == dense, n
 
 
 class TestAlphaFromBeta:
@@ -97,6 +114,17 @@ class TestCertifyTrace:
         assert cert.min_poly == lift_trace(cert.trace_poly, 9)
         assert cert.root_pattern.above_pos2 == 1
         assert cert.root_pattern.in_neg2_2 == 8
+
+    def test_precision_bound(self, monkeypatch):
+        cert = certify_trace(_good_trace(3), 12, precision_digits=MAX_PRECISION)
+        assert len(cert.alpha_decimal.partition(".")[2]) == MAX_PRECISION
+        # out of range is refused before any check runs
+        monkeypatch.setattr(salem, "is_separable", None)
+        for digits in (0, MAX_PRECISION + 1):
+            with pytest.raises(ValueError, match="precision"):
+                certify_trace(_good_trace(3), 12, precision_digits=digits)
+            with pytest.raises(ValueError, match="precision"):
+                certify_min_poly(cert.min_poly, 12, precision_digits=digits)
 
     def test_degree_rejection(self):
         with pytest.raises(CertificationError) as err:
@@ -177,6 +205,20 @@ class TestCertificate:
         assert "lift" in verify_certificate(tampered)
         wrong_alpha = replace(cert, alpha_decimal="2." + "0" * 30)
         assert "alpha" in verify_certificate(wrong_alpha)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("min_poly", IntPoly([1, 2])), ("n", 0), ("n", -3)],
+    )
+    def test_replay_without_unit_check_domain(self, field, value):
+        # unit_check raises outside n >= 1 and a monic S; replay reports a failure
+        cert = certify_trace(_good_trace(5), 12, a=5)
+        assert "resultant" in verify_certificate(replace(cert, **{field: value}))
+
+    @pytest.mark.parametrize("digits", [0, -1, MAX_PRECISION + 1])
+    def test_replay_with_precision_out_of_range(self, digits):
+        cert = certify_trace(_good_trace(5), 12, a=5)
+        assert verify_certificate(replace(cert, alpha_precision=digits)) == ["alpha"]
 
     def test_corruption_fuzz(self):
         # every single-coefficient shift of an accepted trace polynomial is rejected
