@@ -25,6 +25,7 @@ from .salem import (
     SalemCertificate,
     certify_min_poly,
     certify_trace,
+    check_precision,
     verify_certificate,
 )
 
@@ -202,6 +203,11 @@ def _cmd_certify(args) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
+    try:
+        check_precision(args.precision)
+    except ValueError as err:
+        print(str(err), file=sys.stderr)
+        return EXIT_USAGE
     kind = args.kind
     if kind == "auto":
         even = not poly.is_zero and int(poly.degree) % 2 == 0
@@ -214,9 +220,6 @@ def _cmd_certify(args) -> int:
     except CertificationError as err:
         print(f"rejected at check '{err.check}': {err.message}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
     if args.format == "json":
         _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n", args.output)
     else:

@@ -63,16 +63,10 @@ class RootPattern:
 
 def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
     """Exact sign of the polynomial at x, via homogenized integer Horner."""
-    # the loop of _value_at, inlined: Sturm counting calls this most
     if not coeffs:
         return 0
-    num, den = x.numerator, x.denominator
-    acc = coeffs[-1]
-    dpow = 1
-    for i in range(len(coeffs) - 2, -1, -1):
-        dpow *= den
-        acc = acc * num + coeffs[i] * dpow
-    return (acc > 0) - (acc < 0)
+    v = _value_at(coeffs, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
 
 
 def _value_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
@@ -173,17 +167,13 @@ def sturm_count_open(p: IntPoly, lo, hi) -> int:
     return _chain(p).count_open(Fraction(lo), Fraction(hi))
 
 
-def _exact(x: Fraction) -> IsolatingInterval:
-    return IsolatingInterval(x, x, exact_root=x)
-
-
 def _isolate(chain: SturmChain, lo: Fraction, hi: Fraction) -> list[IsolatingInterval]:
     n = chain.count(lo, hi)
     if n == 0:
         return []
     if n == 1:
         if _sign_at(chain.squarefree, hi) == 0:
-            return [_exact(hi)]
+            return [IsolatingInterval(hi, hi, exact_root=hi)]
         return [IsolatingInterval(lo, hi)]
     mid = (lo + hi) / 2
     return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
@@ -195,6 +185,10 @@ def isolate_roots(p: IntPoly, lo, hi) -> list[IsolatingInterval]:
     if not chain.separable:
         raise ValueError("polynomial is not separable")
     return _isolate(chain, Fraction(lo), Fraction(hi))
+
+
+def _exact(x: Fraction) -> IsolatingInterval:
+    return IsolatingInterval(x, x, exact_root=x)
 
 
 def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:

@@ -380,12 +380,15 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     else:
         if iv.lo < 2 or sturm_count(trace, iv.lo, iv.hi) != 1:
             failures.append("beta_interval")
-        elif not 1 <= cert.alpha_precision <= MAX_PRECISION:
-            failures.append("alpha")
         else:
-            alpha_dec, _ = alpha_from_beta(iv, cert.alpha_precision, trace)
-            if alpha_dec != cert.alpha_decimal:
+            try:
+                check_precision(cert.alpha_precision)
+            except ValueError:
                 failures.append("alpha")
+            else:
+                alpha_dec, _ = alpha_from_beta(iv, cert.alpha_precision, trace)
+                if alpha_dec != cert.alpha_decimal:
+                    failures.append("alpha")
         if cert.a is not None and not (cert.a - 1 <= iv.lo and iv.hi <= cert.a):
             if sturm_count(trace, Fraction(cert.a - 1), Fraction(cert.a)) != 1:
                 failures.append("beta_location")

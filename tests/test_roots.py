@@ -243,17 +243,15 @@ class TestQuadraticRefinement:
             assert refine(iv, p, width) == _bisection_refine(iv, p, width)
 
     def test_sign_evaluation_count(self, monkeypatch):
-        # exact evaluations: _sign_at for Sturm counts and signs, _value_at for
-        # the values the secant needs; bisection takes 6,687 here
+        # every exact evaluation, signs for Sturm counts included, goes through
+        # _value_at; bisection takes 6,687 here
         p = build_candidate(plan_construction(12, 9), 3)
         iv = isolate_roots(p, 2, cauchy_bound(p) + 1)[0]
         calls = Counter()
-        for name in ("_sign_at", "_value_at"):
-            monkeypatch.setattr(roots, name, _counting(getattr(roots, name), calls))
+        monkeypatch.setattr(roots, "_value_at", _counting(roots._value_at, calls))
         out = refine(iv, p, Fraction(1, 10**1004))
         assert out.width <= Fraction(1, 10**1004) and p(out.lo) * p(out.hi) < 0
-        assert calls["_value_at"] > 0
-        assert calls["_sign_at"] + calls["_value_at"] <= 300
+        assert 0 < calls["_value_at"] <= 300
 
 
 class TestRootPattern:
