@@ -1,28 +1,24 @@
-"""Irreducibility decisions for monic integer polynomials, with checkable witnesses.
+"""Irreducibility decisions for Salem trace polynomials, with checkable witnesses.
 
 Strategy: a modular degree filter first (factor-degree multisets modulo several
 good primes; if the subset-sum intersection is trivial the polynomial is
-irreducible), falling back to exact factorization modulo one good prime with
-Hensel lifting and bounded subset recombination.
+irreducible).  When it gives no verdict, the trace must have the Salem root
+pattern: one root above 2, the other t - 1 in (-2, 2).  Then any factor that
+lacks the large root has all its roots in (-2, 2), so by Kronecker's theorem
+it is a product of cyclotomic traces psi_m, and three exact gcds find one
+(Bradford & Davenport, *Effective tests for cyclotomic polynomials*, 1988).
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
-from .intpoly import IntPoly
-from .roots import is_separable
+from .intpoly import IntPoly, gcd_over_rationals
+from .roots import is_separable, root_pattern
 
-DEFAULT_SUBSET_CAP = 1 << 24
 _FILTER_PRIME_COUNT = 5
-
-
-class InconclusiveFactorization(Exception):
-    """Subset recombination exceeded the configured cap; no verdict reached."""
+KRONECKER = "kronecker-cyclotomic"
 
 
 @dataclass(frozen=True)
@@ -32,18 +28,17 @@ class IrreducibilityWitness:
     For the filter method the stored primes and per-prime factor-degree
     multisets let a verifier replay the subset-sum argument without
     refactoring.  For a reducible verdict the stored factor divides the input
-    exactly.  The Hensel data (prime, modulus exponent, coefficient bound) is
-    recorded for auditability when exact factorization ran.
+    exactly.  An irreducible Kronecker verdict stores nothing: its replay is
+    the pattern check and the three gcds.  Old reports may carry the method
+    "exact-factorization" with a prime, a modulus exponent and a coefficient
+    bound; those are ignored, and the verdict replays as a Kronecker one.
     """
 
     verdict: str  # "irreducible" | "reducible"
-    method: str  # "modular-degree-filter" | "exact-factorization"
+    method: str  # "modular-degree-filter" | "kronecker-cyclotomic" | legacy "exact-factorization"
     primes: tuple[int, ...] = ()
     degree_multisets: tuple[tuple[int, ...], ...] = ()
     factor: Optional[IntPoly] = None
-    prime: Optional[int] = None
-    modulus_exponent: Optional[int] = None
-    coeff_bound: Optional[int] = None
 
     def to_json_dict(self) -> dict:
         out: dict = {"verdict": self.verdict, "method": self.method}
@@ -52,10 +47,6 @@ class IrreducibilityWitness:
             out["degree_multisets"] = [list(m) for m in self.degree_multisets]
         if self.factor is not None:
             out["factor"] = self.factor.to_text()
-        if self.prime is not None:
-            out["prime"] = self.prime
-            out["modulus_exponent"] = self.modulus_exponent
-            out["coeff_bound"] = self.coeff_bound
         return out
 
     @classmethod
@@ -66,9 +57,6 @@ class IrreducibilityWitness:
             primes=tuple(d.get("primes", ())),
             degree_multisets=tuple(tuple(m) for m in d.get("degree_multisets", ())),
             factor=IntPoly.from_text(d["factor"]) if "factor" in d else None,
-            prime=d.get("prime"),
-            modulus_exponent=d.get("modulus_exponent"),
-            coeff_bound=d.get("coeff_bound"),
         )
 
 
@@ -83,15 +71,6 @@ def _trim(a: list[int]) -> list[int]:
 
 def _mp_from_poly(p: IntPoly, m: int) -> list[int]:
     return _trim([c % m for c in p.coeffs])
-
-
-def _mp_add(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % m
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _trim(out)
 
 
 def _mp_sub(a: list[int], b: list[int], m: int) -> list[int]:
@@ -133,47 +112,21 @@ def _mp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]
     return _trim(q), r
 
 
-def _mp_mod(a: list[int], b: list[int], m: int) -> list[int]:
-    return _mp_divmod(a, b, m)[1]
-
-
-def _mp_monic(a: list[int], m: int) -> list[int]:
-    if not a:
-        return a
-    inv = pow(a[-1], -1, m)
-    return _trim([(c * inv) % m for c in a])
-
-
 def _mp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd mod p."""
     while b:
-        a, b = b, _mp_mod(a, b, p)
-    return _mp_monic(a, p)
-
-
-def _mp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Extended gcd mod a prime: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = [c % p for c in a], [c % p for c in b]
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while _trim(r1):
-        q, r = _mp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _mp_sub(s0, _mp_mul(q, s1, p), p)
-        t0, t1 = t1, _mp_sub(t0, _mp_mul(q, t1, p), p)
-    if not r0:
-        raise ZeroDivisionError("xgcd of zero polynomials")
-    inv = pow(r0[-1], -1, p)
-    scale = lambda v: _trim([(c * inv) % p for c in v])
-    return scale(r0), scale(s0), scale(t0)
+        a, b = b, _mp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p) if a else 0
+    return _trim([(c * inv) % p for c in a])
 
 
 def _mp_powmod(base: list[int], e: int, f: list[int], m: int) -> list[int]:
     result = [1]
-    b = _mp_mod(base, f, m)
+    b = _mp_divmod(base, f, m)[1]
     while e:
         if e & 1:
-            result = _mp_mod(_mp_mul(result, b, m), f, m)
-        b = _mp_mod(_mp_mul(b, b, m), f, m)
+            result = _mp_divmod(_mp_mul(result, b, m), f, m)[1]
+        b = _mp_divmod(_mp_mul(b, b, m), f, m)[1]
         e >>= 1
     return result
 
@@ -194,7 +147,7 @@ def _distinct_degree_split(f: list[int], p: int) -> list[tuple[list[int], int]]:
         if len(g) - 1 > 0:
             out.append((g, d))
             fs = _mp_divmod(fs, g, p)[0]
-            h = _mp_mod(h, fs, p)
+            h = _mp_divmod(h, fs, p)[1]
     if len(fs) - 1 > 0:
         out.append((fs, len(fs) - 1))
     return out
@@ -205,87 +158,6 @@ def _degree_multiset(f: list[int], p: int) -> tuple[int, ...]:
     for g, d in _distinct_degree_split(f, p):
         degs.extend([d] * ((len(g) - 1) // d))
     return tuple(sorted(degs))
-
-
-def _seed_from(p: int, coeffs: list[int]) -> int:
-    seed = p
-    for c in coeffs:
-        seed = (seed * 1000003 + c) % (1 << 64)
-    return seed
-
-
-def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Cantor-Zassenhaus: split a product of degree-d irreducibles mod odd p."""
-    k = len(g) - 1
-    if k == d:
-        return [g]
-    half = (p**d - 1) // 2
-    while True:
-        u = _trim([rng.randrange(p) for _ in range(k)])
-        if len(u) - 1 < 1:
-            continue
-        w = _mp_gcd(u, g, p)
-        if 0 < len(w) - 1 < k:
-            break
-        v = _mp_powmod(u, half, g, p)
-        v = _mp_sub(v, [1], p)
-        w = _mp_gcd(v, g, p)
-        if 0 < len(w) - 1 < k:
-            break
-    rest = _mp_divmod(g, w, p)[0]
-    return _equal_degree_split(w, d, p, rng) + _equal_degree_split(rest, d, p, rng)
-
-
-def _factor_mod_p(f: list[int], p: int) -> list[list[int]]:
-    """Full factorization of monic squarefree f into monic irreducibles mod odd p."""
-    rng = random.Random(_seed_from(p, f))
-    out: list[list[int]] = []
-    for g, d in _distinct_degree_split(f, p):
-        out.extend(_equal_degree_split(g, d, p, rng))
-    return sorted(out)
-
-
-# -- Hensel lifting ------------------------------------------------------------
-
-
-def _hensel_step(f: list[int], g: list[int], h: list[int], s: list[int], t: list[int], m: int):
-    """One quadratic Hensel step: from mod m to mod m^2 (f = g*h, s*g + t*h = 1, h monic)."""
-    m2 = m * m
-    e = _mp_sub([c % m2 for c in f], _mp_mul(g, h, m2), m2)
-    q, r = _mp_divmod(_mp_mul(s, e, m2), h, m2)
-    g1 = _mp_add(g, _mp_add(_mp_mul(t, e, m2), _mp_mul(q, g, m2), m2), m2)
-    h1 = _mp_add(h, r, m2)
-    b = _mp_sub(_mp_add(_mp_mul(s, g1, m2), _mp_mul(t, h1, m2), m2), [1], m2)
-    c, d = _mp_divmod(_mp_mul(s, b, m2), h1, m2)
-    s1 = _mp_sub(s, d, m2)
-    t1 = _mp_sub(t, _mp_add(_mp_mul(t, b, m2), _mp_mul(c, g1, m2), m2), m2)
-    return g1, h1, s1, t1
-
-
-def _hensel_lift_list(f: IntPoly, factors: list[list[int]], p: int, target: int) -> list[list[int]]:
-    """Lift a factorization of monic f mod p to mod p^target (factors stay monic)."""
-    modulus = p**target
-
-    def rec(fc: list[int], fs: list[list[int]]) -> list[list[int]]:
-        if len(fs) == 1:
-            return [fc]
-        mid = len(fs) // 2
-        g = [1]
-        for x in fs[:mid]:
-            g = _mp_mul(g, x, p)
-        h = [1]
-        for x in fs[mid:]:
-            h = _mp_mul(h, x, p)
-        _, s, t = _mp_xgcd(g, h, p)
-        m = p
-        while m < modulus:
-            g, h, s, t = _hensel_step(fc, g, h, s, t, m)
-            m = m * m
-        g = [c % modulus for c in g]
-        h = [c % modulus for c in h]
-        return rec(_trim(g), fs[:mid]) + rec(_trim(h), fs[mid:])
-
-    return rec(_mp_from_poly(f, modulus), factors)
 
 
 # -- the decision procedure -----------------------------------------------------
@@ -340,84 +212,63 @@ def _subset_sum_mask(degrees: tuple[int, ...]) -> int:
     return mask
 
 
-def _factor_coeff_bound(p: IntPoly) -> int:
-    # Mignotte-style: any monic factor h of monic p has |coeff(h)| <= 2^deg(h) * ||p||_2
-    norm2 = math.isqrt(sum(c * c for c in p.coeffs)) + 1
-    return (1 << max(int(p.degree) - 1, 1)) * norm2
+def _reflect(p: IntPoly) -> IntPoly:
+    """p(-x)."""
+    return IntPoly(-c if i % 2 else c for i, c in enumerate(p.coeffs))
 
 
-def _symmetric(c: int, m: int) -> int:
-    c %= m
-    return c - m if 2 * c > m else c
+def _graeffe_trace(p: IntPoly) -> IntPoly:
+    """The monic T2 with T2(x^2 - 2) = (-1)^t p(x) p(-x), t = deg p: its roots are beta^2 - 2."""
+    even = (p * _reflect(p)).coeffs[::2]  # p(x) p(-x) = E(x^2)
+    out = IntPoly()
+    for c in reversed(even):  # E(y + 2) by Horner
+        out = out * IntPoly([2, 1]) + c
+    return -out if out.lc < 0 else out
 
 
-def _zassenhaus(p: IntPoly, prime: int, subset_cap: int) -> IrreducibilityWitness:
-    modular = _factor_mod_p(_mp_from_poly(p, prime), prime)
-    r = len(modular)
-    if r == 1:
-        return IrreducibilityWitness(
-            verdict="irreducible",
-            method="exact-factorization",
-            prime=prime,
-            modulus_exponent=1,
-            coeff_bound=0,
-            degree_multisets=(tuple(sorted(len(g) - 1 for g in modular)),),
-            primes=(prime,),
-        )
-    bound = _factor_coeff_bound(p)
-    exponent = 1
-    while prime**exponent <= 2 * bound:
-        exponent += 1
-    modulus = prime**exponent
-    lifted = _hensel_lift_list(p, modular, prime, exponent)
-    examined = 0
-    for size in range(1, r // 2 + 1):
-        for combo in combinations(range(r), size):
-            examined += 1
-            if examined > subset_cap:
-                raise InconclusiveFactorization(
-                    f"subset recombination cap {subset_cap} exceeded at size {size}"
-                )
-            h = [1]
-            for i in combo:
-                h = _mp_mul(h, lifted[i], modulus)
-            cand = IntPoly(_symmetric(c, modulus) for c in h)
-            if cand.degree <= 0:
-                continue
-            if p.coeffs[0] != 0 and cand.coeffs[0] != 0 and p.coeffs[0] % cand.coeffs[0] != 0:
-                continue
-            try:
-                p.exact_div(cand)
-            except ValueError:
-                continue
-            return IrreducibilityWitness(
-                verdict="reducible",
-                method="exact-factorization",
-                factor=cand,
-                prime=prime,
-                modulus_exponent=exponent,
-                coeff_bound=bound,
-                primes=(prime,),
-                degree_multisets=(tuple(sorted(len(g) - 1 for g in modular)),),
-            )
-    return IrreducibilityWitness(
-        verdict="irreducible",
-        method="exact-factorization",
-        prime=prime,
-        modulus_exponent=exponent,
-        coeff_bound=bound,
-        primes=(prime,),
-        degree_multisets=(tuple(sorted(len(g) - 1 for g in modular)),),
-    )
+def _cyclotomic_factor(p: IntPoly) -> Optional[IntPoly]:
+    """A proper monic factor of a trace with the Salem pattern, or None when it is irreducible.
+
+    A root 2cos(2 pi k/m) of psi_m maps under beta -> beta^2 - 2 to a root of
+    psi_m for m odd, and to one of psi_m(-x) for m = 2 (mod 4); for 4 | m,
+    psi_m(-x) = +-psi_m(x).  So psi_m | p makes gcd(p, T2), gcd(p(-x), T2) or
+    gcd(p, p(-x)) nonconstant, in that order.  The large root beta_0 keeps
+    each gcd proper: beta_0^2 - 2 > beta_0, and -beta_0 < -2 is neither a root
+    of p nor of T2.
+    """
+    neg = _reflect(p)
+    t2 = _graeffe_trace(p)
+    for a, b, flip in ((p, t2, False), (neg, t2, True), (p, neg, False)):
+        g = gcd_over_rationals(a, b)
+        if g.degree > 0:
+            if flip:
+                g = _reflect(g)
+            return -g if g.lc < 0 else g
+    return None
 
 
-def is_irreducible(p: IntPoly, subset_cap: int = DEFAULT_SUBSET_CAP) -> IrreducibilityWitness:
-    """Decide irreducibility over Q of a monic squarefree integer polynomial.
+def _has_salem_pattern(p: IntPoly) -> bool:
+    return p.is_monic and root_pattern(p).is_salem(int(p.degree))
+
+
+# keeps the name of the fallback it replaced: the benchmark tracer patches it by name
+def _zassenhaus(p: IntPoly) -> IrreducibilityWitness:
+    """Kronecker's test on a trace with the Salem pattern; ValueError without it."""
+    if not _has_salem_pattern(p):
+        raise ValueError("the filter gave no verdict, and the Kronecker test needs the Salem root pattern")
+    g = _cyclotomic_factor(p)
+    if g is None:
+        return IrreducibilityWitness(verdict="irreducible", method=KRONECKER)
+    return IrreducibilityWitness(verdict="reducible", method=KRONECKER, factor=g)
+
+
+def is_irreducible(p: IntPoly) -> IrreducibilityWitness:
+    """Decide irreducibility over Q of a monic squarefree trace polynomial.
 
     Returns a witness that can be re-verified from its stored detail alone
     (see :func:`verify_witness`).  Raises ValueError on non-monic,
-    non-squarefree or constant input; raises InconclusiveFactorization when
-    recombination would exceed ``subset_cap``.
+    non-squarefree or constant input, and when the filter gives no verdict on
+    a polynomial without the Salem root pattern.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a polynomial of degree at least 1")
@@ -426,20 +277,11 @@ def is_irreducible(p: IntPoly, subset_cap: int = DEFAULT_SUBSET_CAP) -> Irreduci
     if p.degree > 1 and not is_separable(p):
         raise ValueError("polynomial must be squarefree")
     deg = int(p.degree)
-    if deg >= 2 and p.coeffs[0] == 0:
-        return IrreducibilityWitness(
-            verdict="reducible", method="exact-factorization", factor=IntPoly([0, 1])
-        )
     primes = _good_primes(p, _FILTER_PRIME_COUNT)
-    multisets = []
-    masks = []
-    for pr in primes:
-        ms = _degree_multiset(_mp_from_poly(p, pr), pr)
-        multisets.append(ms)
-        masks.append(_subset_sum_mask(ms))
-    inter = masks[0]
-    for m in masks[1:]:
-        inter &= m
+    multisets = [_degree_multiset(_mp_from_poly(p, q), q) for q in primes]
+    inter = -1
+    for ms in multisets:
+        inter &= _subset_sum_mask(ms)
     if inter == (1 | (1 << deg)):
         return IrreducibilityWitness(
             verdict="irreducible",
@@ -447,17 +289,16 @@ def is_irreducible(p: IntPoly, subset_cap: int = DEFAULT_SUBSET_CAP) -> Irreduci
             primes=tuple(primes),
             degree_multisets=tuple(multisets),
         )
-    best = min(range(len(primes)), key=lambda i: len(multisets[i]))
-    return _zassenhaus(p, primes[best], subset_cap)
+    return _zassenhaus(p)
 
 
 def verify_witness(p: IntPoly, witness: IrreducibilityWitness) -> bool:
     """Replay a witness from its stored detail without re-deciding.
 
     Reducible: one exact division.  Filter: recompute the subset-sum
-    intersection from the stored degree multisets.  An irreducible verdict
-    from exact factorization carries no cheap certificate; only its stored
-    detail is checked for internal consistency.
+    intersection from the stored degree multisets.  Kronecker (and the legacy
+    exact-factorization method): check the Salem pattern from the chain kept
+    on p, then run the three gcds.
     """
     if witness.verdict == "reducible":
         f = witness.factor
@@ -468,6 +309,8 @@ def verify_witness(p: IntPoly, witness: IrreducibilityWitness) -> bool:
         except ValueError:
             return False
         return True
+    if witness.verdict != "irreducible":
+        return False
     if witness.method == "modular-degree-filter":
         if not witness.primes or len(witness.primes) != len(witness.degree_multisets):
             return False
@@ -478,5 +321,6 @@ def verify_witness(p: IntPoly, witness: IrreducibilityWitness) -> bool:
                 return False
             inter &= _subset_sum_mask(ms)
         return inter & ((1 << (deg + 1)) - 1) == (1 | (1 << deg))
-    # exact-factorization, irreducible: consistency of the recorded data only
-    return all(sum(ms) == int(p.degree) for ms in witness.degree_multisets)
+    if witness.method in (KRONECKER, "exact-factorization"):
+        return _has_salem_pattern(p) and _cyclotomic_factor(p) is None
+    return False

@@ -57,6 +57,10 @@ class RootPattern:
     def total_real(self) -> int:
         return self.below_neg2 + self.at_neg2 + self.in_neg2_2 + self.at_pos2 + self.above_pos2
 
+    def is_salem(self, degree: int) -> bool:
+        """One root above 2 and degree - 1 in (-2, 2): then all degree roots are real and simple."""
+        return self.above_pos2 == 1 and self.in_neg2_2 == degree - 1
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 

@@ -19,6 +19,7 @@ from .intpoly import ONE, X, IntPoly, is_reciprocal, lift_trace, pseudo_rem, res
 from .roots import (
     IsolatingInterval,
     RootPattern,
+    _sign_at,
     cauchy_bound,
     is_separable,
     isolate_roots,
@@ -254,14 +255,7 @@ def certify_trace(
         raise CertificationError("separability", "trace polynomial has a repeated root")
 
     pattern = root_pattern(trace)
-    ok = (
-        pattern.above_pos2 == 1
-        and pattern.at_neg2 == 0
-        and pattern.at_pos2 == 0
-        and pattern.below_neg2 == 0
-        and pattern.in_neg2_2 == t - 1
-    )
-    if not ok:
+    if not pattern.is_salem(t):
         raise CertificationError(
             "root_pattern",
             f"expected 1 root above 2 and {t - 1} in (-2,2); got {pattern}",
@@ -344,10 +338,9 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     """Independently replay a certificate; returns the names of failed checks (empty if valid).
 
     Pattern, lift and resultant are recomputed from the stored trace
-    polynomial; the irreducibility witness is replayed from its detail when it
-    carries one, re-decided from scratch otherwise; the beta interval is
-    checked to bracket exactly one root above 2, inside (a-1, a) when the
-    construction parameter is recorded.
+    polynomial; the irreducibility witness is replayed from its detail; the
+    beta interval is checked to bracket the one root above 2, by a sign change
+    of T, inside (a-1, a) when the construction parameter is recorded.
     """
     failures: list[str] = []
     trace, n, t = cert.trace_poly, cert.n, cert.t
@@ -356,16 +349,10 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     if lift_trace(trace, t) != cert.min_poly or not is_reciprocal(cert.min_poly):
         failures.append("lift")
     pattern = root_pattern(trace)
-    if pattern != cert.root_pattern or pattern.above_pos2 != 1 or pattern.in_neg2_2 != t - 1:
+    if pattern != cert.root_pattern or not pattern.is_salem(t):
         failures.append("root_pattern")
-    if cert.irreducibility.verdict != "irreducible":
+    if cert.irreducibility.verdict != "irreducible" or not verify_witness(trace, cert.irreducibility):
         failures.append("irreducibility")
-    elif cert.irreducibility.method == "modular-degree-filter":
-        if not verify_witness(trace, cert.irreducibility):
-            failures.append("irreducibility")
-    else:
-        if is_irreducible(trace).verdict != "irreducible":
-            failures.append("irreducibility")
     # unit_check is defined for n >= 1 and a monic S only
     if (
         n < 1
@@ -378,7 +365,13 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     if iv.exact_root is not None:
         failures.append("beta_interval")  # beta is irrational for an irreducible trace
     else:
-        if iv.lo < 2 or sturm_count(trace, iv.lo, iv.hi) != 1:
+        # with the Salem pattern T has one root above 2 and T(2) != 0, so a
+        # strict sign change on [lo, hi] with 2 <= lo < hi brackets that root
+        if (
+            not pattern.is_salem(t)
+            or not 2 <= iv.lo < iv.hi
+            or _sign_at(trace.coeffs, iv.lo) * _sign_at(trace.coeffs, iv.hi) >= 0
+        ):
             failures.append("beta_interval")
         else:
             try:

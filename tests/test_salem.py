@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from salemunits import salem
+from salemunits import factor, roots, salem
 from salemunits.construct import build_candidate, plan_construction
+from salemunits.factor import IrreducibilityWitness
 from salemunits.intpoly import IntPoly, lift_trace, resultant
-from salemunits.roots import IsolatingInterval
+from salemunits.roots import IsolatingInterval, cauchy_bound, isolate_roots, refine, root_pattern
 from salemunits.salem import (
     MAX_PRECISION,
     CertificationError,
@@ -237,3 +238,101 @@ class TestCertificate:
             except CertificationError:
                 rejected += 1
         assert rejected == trials
+
+
+def _forged_certificate(trace: IntPoly, n: int, witness: IrreducibilityWitness) -> SalemCertificate:
+    """Every field recomputed from trace except the irreducibility witness."""
+    t = int(trace.degree)
+    s_poly = lift_trace(trace, t)
+    iv = refine(isolate_roots(trace, 2, cauchy_bound(trace) + 1)[0], trace, Fraction(1, 10**34))
+    return SalemCertificate(
+        n=n,
+        t=t,
+        a=None,
+        construction="external",
+        trace_poly=trace,
+        min_poly=s_poly,
+        root_pattern=root_pattern(trace),
+        beta_interval=iv,
+        alpha_decimal=alpha_from_beta(iv, 30, trace)[0],
+        alpha_precision=30,
+        irreducibility=witness,
+        resultant_value=unit_check(s_poly, n),
+    )
+
+
+class TestIrreducibilityReplay:
+    def test_kronecker_certificate_round_trip(self):
+        # the filter gives no verdict at (12,9), a=18
+        cert = certify_trace(_good_trace(18), 12, a=18)
+        assert cert.irreducibility.to_json_dict() == {"verdict": "irreducible", "method": "kronecker-cyclotomic"}
+        assert verify_certificate(SalemCertificate.from_json_dict(cert.to_json_dict())) == []
+
+    def test_legacy_exact_factorization_replays(self, monkeypatch):
+        cert = certify_trace(_good_trace(18), 12, a=18)
+        data = cert.to_json_dict()
+        data["irreducibility"] = {
+            "verdict": "irreducible",
+            "method": "exact-factorization",
+            "primes": [3],
+            "degree_multisets": [[1, 8]],
+            "prime": 3,
+            "modulus_exponent": 40,
+            "coeff_bound": 10**12,
+        }
+        legacy = SalemCertificate.from_json_dict(data)
+        # a replay, not a re-decision: the decision procedure must not run
+        calls = []
+        gcd_test = factor._cyclotomic_factor
+        monkeypatch.setattr(factor, "_cyclotomic_factor", lambda p: calls.append(p) or gcd_test(p))
+        monkeypatch.setattr(salem, "is_irreducible", None)
+        monkeypatch.setattr(factor, "is_irreducible", None)
+        assert verify_certificate(legacy) == []
+        assert calls == [legacy.trace_poly]
+
+    @pytest.mark.parametrize("method", ["kronecker-cyclotomic", "exact-factorization", "modular-degree-filter"])
+    def test_forged_irreducible_verdict_fails(self, method):
+        # (x^2 - 5x + 1)(x - 1) has the Salem pattern but the factor psi_6 = x - 1
+        trace = IntPoly([1, -5, 1]) * IntPoly([-1, 1])
+        assert root_pattern(trace).is_salem(3)
+        forged = IrreducibilityWitness(verdict="irreducible", method=method)
+        assert "irreducibility" in verify_certificate(_forged_certificate(trace, 12, forged))
+
+
+class TestBetaIntervalReplay:
+    def test_no_sturm_chain_at_interval_endpoints(self, monkeypatch):
+        cert = certify_trace(_good_trace(5), 12, a=5, precision_digits=300)
+        replayed = SalemCertificate.from_json_dict(cert.to_json_dict())
+        points = []
+        variations = roots.SturmChain.variations
+        monkeypatch.setattr(roots.SturmChain, "variations", lambda self, x: points.append(x) or variations(self, x))
+        assert verify_certificate(replayed) == []
+        assert points  # the root pattern is still counted by the chain
+        iv = replayed.beta_interval
+        assert iv.lo not in points and iv.hi not in points
+
+    def test_interval_without_sign_change(self):
+        cert = certify_trace(_good_trace(5), 12, a=5)
+        iv = cert.beta_interval
+        beside = IsolatingInterval(iv.hi, iv.hi + iv.width)
+        assert verify_certificate(replace(cert, beta_interval=beside)) == ["beta_interval"]
+        below_two = IsolatingInterval(Fraction(1), iv.hi)
+        assert verify_certificate(replace(cert, beta_interval=below_two)) == ["beta_interval"]
+        swapped = IsolatingInterval(iv.hi, iv.lo)
+        assert verify_certificate(replace(cert, beta_interval=swapped)) == ["beta_interval"]
+
+    def test_interval_needs_salem_pattern(self):
+        # (x^2 - 5x + 1)(x^2 - 7x + 1): without the pattern a sign change does not
+        # show the interval holds the only root above 2, so it is not accepted
+        trace = IntPoly([1, -5, 1]) * IntPoly([1, -7, 1])
+        cert = _forged_certificate(trace, 12, IrreducibilityWitness(verdict="irreducible", method="kronecker-cyclotomic"))
+        assert {"root_pattern", "irreducibility", "beta_interval"} <= set(verify_certificate(cert))
+
+    def test_root_at_interval_end(self):
+        # (x - 3)(x^2 - 1) has the Salem pattern; (3, 4] holds no root although T(3) = 0
+        trace = IntPoly([-3, 1]) * IntPoly([-1, 0, 1])
+        witness = IrreducibilityWitness(verdict="reducible", method="kronecker-cyclotomic", factor=IntPoly([-3, 1]))
+        cert = replace(
+            _forged_certificate(trace, 12, witness), beta_interval=IsolatingInterval(Fraction(3), Fraction(4))
+        )
+        assert "beta_interval" in verify_certificate(cert)
