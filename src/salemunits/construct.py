@@ -31,7 +31,6 @@ LINEAR = "linear"  # a-factor x - a, user-supplied inner factor
 
 SHAPE_QUAD_UNIT = "x^2-a*x+1"
 SHAPE_QUAD_SHIFT = "x^2-a*x+(a-2)"
-SHAPE_LINEAR = "x-a"
 
 _GOLDEN = IntPoly([-1, 1, 1])  # x^2 + x - 1, roots (-1 +/- sqrt(5))/2
 _GOLDEN_MIRROR = IntPoly([-1, -1, 1])  # x^2 - x - 1, its mirror image
@@ -202,8 +201,6 @@ def _a_factor(shape: str, a: int) -> IntPoly:
         return IntPoly([1, -a, 1])
     if shape == SHAPE_QUAD_SHIFT:
         return IntPoly([a - 2, -a, 1])
-    if shape == SHAPE_LINEAR:
-        return IntPoly([-a, 1])
     raise ValueError(f"unknown a-factor shape {shape!r}")
 
 

@@ -1,18 +1,21 @@
 """Irreducibility decisions for Salem trace polynomials, with checkable witnesses.
 
 Strategy: a modular degree filter first (factor-degree multisets modulo several
-good primes; if the subset-sum intersection is trivial the polynomial is
-irreducible).  When it gives no verdict, the trace must have the Salem root
-pattern: one root above 2, the other t - 1 in (-2, 2).  Then any factor that
-lacks the large root has all its roots in (-2, 2), so by Kronecker's theorem
-it is a product of cyclotomic traces psi_m, and three exact gcds find one
+good primes, by distinct-degree factorization on the Frobenius map; if the
+subset-sum intersection is trivial the polynomial is irreducible).  When it
+gives no verdict, the trace must have the Salem root pattern: one root above
+2, the other t - 1 in (-2, 2).  Then any factor that lacks the large root has
+all its roots in (-2, 2), so by Kronecker's theorem it is a product of
+cyclotomic traces psi_m, and three exact gcds find one
 (Bradford & Davenport, *Effective tests for cyclotomic polynomials*, 1988).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from math import isqrt
+from operator import mul
+from typing import Iterable, Optional
 
 from .intpoly import IntPoly, gcd_over_rationals
 from .roots import is_separable, root_pattern
@@ -82,17 +85,6 @@ def _mp_sub(a: list[int], b: list[int], m: int) -> list[int]:
     return _trim(out)
 
 
-def _mp_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] = (out[i + j] + c * d) % m
-    return _trim(out)
-
-
 def _mp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     """Division with remainder; lc(b) must be invertible mod m (monic is safest)."""
     if not b:
@@ -120,43 +112,32 @@ def _mp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim([(c * inv) % p for c in a])
 
 
-def _mp_powmod(base: list[int], e: int, f: list[int], m: int) -> list[int]:
-    result = [1]
-    b = _mp_divmod(base, f, m)[1]
-    while e:
-        if e & 1:
-            result = _mp_divmod(_mp_mul(result, b, m), f, m)[1]
-        b = _mp_divmod(_mp_mul(b, b, m), f, m)[1]
-        e >>= 1
-    return result
+# -- factor degrees modulo a prime --------------------------------------------
 
 
-# -- factorization modulo a prime ---------------------------------------------
+def _degree_multiset(f: list[int], q: int) -> tuple[int, ...]:
+    """Factor degrees of a monic f, squarefree mod q, by distinct-degree factorization.
 
-
-def _distinct_degree_split(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Split a monic squarefree f mod p into (product of degree-d irreducibles, d) parts."""
-    out = []
-    fs = f[:]
-    h = [0, 1]
-    d = 0
-    while len(fs) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _mp_powmod(h, p, fs, p)
-        g = _mp_gcd(_mp_sub(h, [0, 1], p), fs, p)
-        if len(g) - 1 > 0:
-            out.append((g, d))
-            fs = _mp_divmod(fs, g, p)[0]
-            h = _mp_divmod(h, fs, p)[1]
-    if len(fs) - 1 > 0:
-        out.append((fs, len(fs) - 1))
-    return out
-
-
-def _degree_multiset(f: list[int], p: int) -> tuple[int, ...]:
+    Frobenius h -> h^q is linear mod q, as h(x)^q = h(x^q), so each step is one
+    product with the matrix whose row i is x^(q i) mod f (Berlekamp's Q).  h
+    stays reduced mod f: gcd(h - x, rest) is unchanged, because rest | f.
+    """
+    n = len(f) - 1
+    rows = [[1]]
+    for _ in range(1, n):
+        rows.append(_mp_divmod([0] * q + rows[-1], f, q)[1])
+    cols = [[r[j] if j < len(r) else 0 for r in rows] for j in range(n)]
     degs: list[int] = []
-    for g, d in _distinct_degree_split(f, p):
-        degs.extend([d] * ((len(g) - 1) // d))
+    rest, h, d = f, [0, 1], 0
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = [sum(map(mul, h, col)) % q for col in cols]
+        g = _mp_gcd(_mp_sub(h, [0, 1], q), rest, q)
+        if len(g) > 1:
+            degs += [d] * ((len(g) - 1) // d)
+            rest = _mp_divmod(rest, g, q)[0]
+    if len(rest) > 1:
+        degs.append(len(rest) - 1)
     return tuple(sorted(degs))
 
 
@@ -178,38 +159,20 @@ def _good_primes(p: IntPoly, count: int) -> list[int]:
     return out
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    # trial division by every base first: pow(q, d, q) == 0 would read as a witness
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division: the candidates are the small odd numbers _good_primes walks."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def _subset_sum_mask(degrees: tuple[int, ...]) -> int:
-    mask = 1
-    for d in degrees:
-        mask |= mask << d
-    return mask
+def _filter_proves_irreducible(deg: int, multisets: Iterable[Iterable[int]]) -> bool:
+    """True when the subset sums of the factor degrees mod every prime meet only in 0 and deg."""
+    inter = (1 << (deg + 1)) - 1
+    for ms in multisets:
+        mask = 1
+        for d in ms:
+            mask |= mask << d
+        inter &= mask
+    return inter == 1 | 1 << deg
 
 
 def _reflect(p: IntPoly) -> IntPoly:
@@ -279,10 +242,7 @@ def is_irreducible(p: IntPoly) -> IrreducibilityWitness:
     deg = int(p.degree)
     primes = _good_primes(p, _FILTER_PRIME_COUNT)
     multisets = [_degree_multiset(_mp_from_poly(p, q), q) for q in primes]
-    inter = -1
-    for ms in multisets:
-        inter &= _subset_sum_mask(ms)
-    if inter == (1 | (1 << deg)):
+    if _filter_proves_irreducible(deg, multisets):
         return IrreducibilityWitness(
             verdict="irreducible",
             method="modular-degree-filter",
@@ -315,12 +275,10 @@ def verify_witness(p: IntPoly, witness: IrreducibilityWitness) -> bool:
         if not witness.primes or len(witness.primes) != len(witness.degree_multisets):
             return False
         deg = int(p.degree)
-        inter = -1
         for ms in witness.degree_multisets:
             if not all(type(d) is int and d > 0 for d in ms) or sum(ms) != deg:
                 return False
-            inter &= _subset_sum_mask(ms)
-        return inter & ((1 << (deg + 1)) - 1) == (1 | (1 << deg))
+        return _filter_proves_irreducible(deg, witness.degree_multisets)
     if witness.method in (KRONECKER, "exact-factorization"):
         return _has_salem_pattern(p) and _cyclotomic_factor(p) is None
     return False

@@ -40,10 +40,6 @@ class IntPoly:
     # -- construction helpers --------------------------------------------
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPoly":
-        return cls([0] * degree + [coeff])
-
-    @classmethod
     def from_text(cls, text: str) -> "IntPoly":
         """Parse the comma-separated ascending-coefficient format, e.g. "3,0,-4,0,1"."""
         parts = [p.strip() for p in text.strip().split(",")]

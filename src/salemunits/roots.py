@@ -29,16 +29,10 @@ class IsolatingInterval:
     lo: Fraction
     hi: Fraction
     exact_root: Optional[Fraction] = None
-    multiplicity: int = 1
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, x: Fraction) -> bool:
-        if self.exact_root is not None:
-            return x == self.exact_root
-        return self.lo < x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -52,10 +46,6 @@ class RootPattern:
     above_pos2: int
     in_0_1: int
     separable: bool
-
-    @property
-    def total_real(self) -> int:
-        return self.below_neg2 + self.at_neg2 + self.in_neg2_2 + self.at_pos2 + self.above_pos2
 
     def is_salem(self, degree: int) -> bool:
         """One root above 2 and degree - 1 in (-2, 2): then all degree roots are real and simple."""
@@ -203,7 +193,8 @@ def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
     interval refinement (see ``_refine_on_grid``).  The result is the grid
     cell, or the exact grid-point root, that bisection returns, but once the
     secant steps land each one doubles the bits gained, where bisection gains
-    one bit per exact evaluation.
+    one bit per exact evaluation.  Raises ValueError when the interval has
+    no strict sign change at its endpoints and does not hold exactly one root.
     """
     width = Fraction(width)
     if iv.exact_root is not None:
@@ -213,17 +204,22 @@ def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
     chain = _chain(p)
     lo, hi = iv.lo, iv.hi
     coeffs = chain.squarefree
-    if _sign_at(coeffs, hi) == 0:
+    slo, shi = _sign_at(coeffs, lo), _sign_at(coeffs, hi)
+    if shi == 0:
         return _exact(hi)
-    # establish a strict sign change, bisecting by Sturm counts until then
-    while _sign_at(coeffs, lo) * _sign_at(coeffs, hi) >= 0:
+    # establish a strict sign change, bisecting by Sturm counts until then;
+    # that needs exactly one root in (lo, hi], or the bisection never ends
+    if slo * shi >= 0 and chain.count(lo, hi) != 1:
+        raise ValueError("interval does not isolate a root")
+    while slo * shi >= 0:
         mid = (lo + hi) / 2
-        if _sign_at(coeffs, mid) == 0:
+        smid = _sign_at(coeffs, mid)
+        if smid == 0:
             return _exact(mid)
         if chain.count(lo, mid) == 1:
-            hi = mid
+            hi, shi = mid, smid
         else:
-            lo = mid
+            lo, slo = mid, smid
     ratio = (hi - lo) / width
     if ratio <= 1:
         return IsolatingInterval(lo, hi)

@@ -11,9 +11,11 @@ from salemunits.construct import build_candidate, plan_construction
 from salemunits.factor import (
     KRONECKER,
     IrreducibilityWitness,
+    _degree_multiset,
     _good_primes,
     _graeffe_trace,
     _is_prime,
+    _mp_from_poly,
     _zassenhaus,
     is_irreducible,
     verify_witness,
@@ -222,6 +224,63 @@ class TestWitnessReplay:
         w = IrreducibilityWitness.from_json_dict(legacy)
         assert (w.verdict, w.method, w.primes, w.degree_multisets) == ("irreducible", "exact-factorization", (3,), ((2, 7),))
         assert verify_witness(build_candidate(plan_construction(12, 9), 18), w)
+
+
+def sympy_degrees_mod(f: list[int], q: int) -> tuple[int, ...]:
+    """Factor degrees of f mod q by sympy, each once per multiplicity."""
+    _, factors = sympy.Poly(f[::-1], _x, modulus=q).factor_list()
+    return tuple(sorted(g.degree() for g, e in factors for _ in range(e)))
+
+
+class TestDegreeMultiset:
+    """The filter's factor degrees mod q against sympy's factorization over F_q."""
+
+    @given(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, q, data):
+        low = data.draw(st.lists(st.integers(0, q - 1), min_size=0, max_size=39))
+        f = low + [1]
+        _, factors = sympy.Poly(f[::-1], _x, modulus=q).factor_list()
+        assume(all(e == 1 for _, e in factors))
+        assert _degree_multiset(f, q) == sympy_degrees_mod(f, q)
+
+    def test_certify_workload_traces(self):
+        for (n, t), a_values in (((92, 61), range(111, 116)), ((124, 71), range(158, 161))):
+            plan = plan_construction(n, t)
+            for a in a_values:
+                p = build_candidate(plan, a)
+                for q in _good_primes(p, 5):
+                    f = _mp_from_poly(p, q)
+                    assert _degree_multiset(f, q) == sympy_degrees_mod(f, q)
+
+    @pytest.mark.parametrize(
+        "plan, a, expected",
+        [
+            (
+                (44, 31),
+                29,
+                {
+                    "verdict": "irreducible",
+                    "method": "modular-degree-filter",
+                    "primes": [3, 5, 13, 17, 19],
+                    "degree_multisets": [[5, 11, 15], [2, 3, 8, 18], [1, 2, 7, 21], [1, 2, 3, 6, 19], [6, 25]],
+                },
+            ),
+            (
+                (92, 61),
+                111,
+                {
+                    "verdict": "irreducible",
+                    "method": "modular-degree-filter",
+                    "primes": [3, 5, 7, 11, 13],
+                    "degree_multisets": [[17, 44], [1, 3, 3, 19, 35], [1, 16, 20, 24], [1, 2, 2, 14, 42], [1, 23, 37]],
+                },
+            ),
+        ],
+    )
+    def test_witness_bytes_pinned(self, plan, a, expected):
+        # recorded before the filter moved to the Frobenius matrix: certificates must not change
+        assert is_irreducible(build_candidate(plan_construction(*plan), a)).to_json_dict() == expected
 
 
 def test_is_prime_matches_sympy():

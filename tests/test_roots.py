@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import random
+import signal
 import sys
 import weakref
 from collections import Counter
@@ -29,7 +30,7 @@ from salemunits.roots import (
     sturm_count,
     sturm_count_open,
 )
-from salemunits.salem import CertificationError, SalemCertificate, certify_trace, verify_certificate
+from salemunits.salem import CertificationError, SalemCertificate, alpha_from_beta, certify_trace, verify_certificate
 from salemunits.trigpolys import cheb, cyclo_trace
 
 
@@ -157,6 +158,44 @@ class TestRefine:
         for width in (0, -1):
             with pytest.raises(ValueError):
                 refine(iv, p, width)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("no answer within the time limit")
+
+
+class TestRefineWithoutRoot:
+    """An interval that does not isolate one root raises instead of bisecting forever."""
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        old = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(10)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    def test_no_root(self):
+        # (x - 3)(x^2 - 1): 0 at 3, no root in (3, 4]
+        p = IntPoly([-3, 1]) * IntPoly([-1, 0, 1])
+        iv = IsolatingInterval(Fraction(3), Fraction(4))
+        with pytest.raises(ValueError):
+            refine(iv, p, Fraction(1, 10**5))
+        with pytest.raises(ValueError):
+            alpha_from_beta(iv, 30, p)
+
+    def test_two_roots_without_sign_change(self):
+        p = IntPoly([-5, 1]) * IntPoly([-7, 1])
+        with pytest.raises(ValueError):
+            refine(IsolatingInterval(Fraction(4), Fraction(8)), p, Fraction(1, 10**5))
+
+    def test_one_root_without_sign_change_still_refined(self):
+        # x (x^2 - 2)(x - 3): the root at lo = 0 is outside (0, 2]; sqrt(2) is found
+        p = IntPoly([0, 1]) * IntPoly([-2, 0, 1]) * IntPoly([-3, 1])
+        out = refine(IsolatingInterval(Fraction(0), Fraction(2)), p, Fraction(1, 10**6))
+        assert out.width <= Fraction(1, 10**6) and out.lo < Fraction("1.4142136") and out.hi > Fraction("1.4142135")
 
 
 def _bisection_refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
