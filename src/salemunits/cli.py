@@ -20,11 +20,13 @@ from .intpoly import IntPoly, gcd_over_rationals, is_reciprocal, lift_trace
 from .roots import sturm_count_open
 from .salem import (
     DEFAULT_PRECISION,
+    MAX_N,
     MAX_PRECISION,
     CertificationError,
     SalemCertificate,
     certify_min_poly,
     certify_trace,
+    check_n,
     check_precision,
     verify_certificate,
 )
@@ -204,6 +206,7 @@ def _cmd_certify(args) -> int:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
     try:
+        check_n(args.n)
         check_precision(args.precision)
     except ValueError as err:
         print(str(err), file=sys.stderr)
@@ -332,6 +335,12 @@ PRECISION_HELP = (
     " (2-core x86-64, Python 3.11)"
 )
 
+N_HELP = (
+    f"the exponent n of alpha^n - 1, at most {MAX_N}; larger values exit 2."
+    " The unit resultant at n = 10000 takes about 0.2 s at t=9 and 240 s at t=61"
+    " (2-core x86-64, Python 3.11)"
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -354,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("search", help="sweep the parameter a and certify candidates")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True, help=N_HELP)
     p.add_argument("--t", type=_positive_int, required=True)
     p.add_argument("--a-min", type=_positive_int, default=3)
     p.add_argument("--a-max", type=_positive_int, default=200)
@@ -366,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify a trace or reciprocal minimal polynomial")
     p.add_argument("poly", nargs="?", default=None, help="inline coefficients c0,c1,... or a file path")
-    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None, help=N_HELP)
     p.add_argument("--as", dest="kind", choices=("auto", "trace", "min"), default="auto")
     p.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION, help=PRECISION_HELP)
     p.add_argument("--format", choices=("json", "text"), default="text")

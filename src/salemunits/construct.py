@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .intpoly import IntPoly, gcd_over_rationals
 from .roots import is_separable, root_pattern, sturm_count_open
-from .salem import DEFAULT_PRECISION, CertificationError, SalemCertificate, certify_trace, check_precision
+from .salem import DEFAULT_PRECISION, CertificationError, SalemCertificate, certify_trace, check_n, check_precision
 from .trigpolys import (
     cheb,
     cheb_roots_in_unit_interval,
@@ -281,6 +281,7 @@ def search(
         raise ValueError("a_min must be at least 3")
     if a_max < a_min:
         raise ValueError("a_max must be at least a_min")
+    check_n(n)
     check_precision(precision_digits)
     plan = plan_construction(n, t)
     certificates: list[SalemCertificate] = []

@@ -8,11 +8,12 @@ positive denominator.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
 
@@ -148,18 +149,6 @@ class IntPoly:
         c = self.content()
         return self if c in (0, 1) else IntPoly(k // c for k in self.coeffs)
 
-    def scalar_div(self, d: int) -> "IntPoly":
-        """Exact division by a nonzero integer; raises if any coefficient resists."""
-        if d == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, d)
-            if r:
-                raise ValueError(f"coefficient {c} not divisible by {d}")
-            out.append(q)
-        return IntPoly(out)
-
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact polynomial division over Z; raises ValueError when not a factor."""
         if other.is_zero:
@@ -233,6 +222,39 @@ def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(r)
 
 
+def subresultant_prs(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[list[int], int, int, int]]:
+    """The subresultant pseudo-remainder sequence of coefficient lists, deg a >= deg b >= 0.
+
+    Brown & Traub (JACM 1971): with g = h = 1 at the start, each step divides
+    prem(a, b) exactly by beta = g * h^delta, delta = deg a - deg b, then takes
+    g = lc(b) and h = h^(1 - delta) * g^delta.  Yields (r, delta, beta, h) per
+    step, r the next element and h its updated scale; stops after the first
+    constant element, or before a zero remainder.  A step with delta = 1, the
+    normal case, is one fused pass r = lc(b)^2 * a - (c1 x + c0) * b; any
+    other step calls ``pseudo_rem``.
+    """
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        beta = g * h**delta
+        if delta == 1:
+            lb, la = b[-1], a[-1]
+            lb2, c1, c0 = lb * lb, lb * la, lb * a[-2] - la * b[-2]
+            # the degree deg b term cancels too, and is stripped below
+            r = [(lb2 * ai - c1 * bp - c0 * bi) // beta for ai, bp, bi in zip(a, itertools.chain((0,), b), b)]
+            while r and r[-1] == 0:
+                r.pop()
+        else:
+            r = [c // beta for c in pseudo_rem(IntPoly(a), IntPoly(b)).coeffs]
+        if not r:
+            return
+        a, b = b, r
+        if delta:
+            h = _hpow(a[-1], h, delta)
+        g = a[-1]
+        yield r, delta, beta, h
+
+
 def resultant(p: IntPoly, q: IntPoly) -> int:
     """Resultant with the convention Res(p, q) = lc(q)^deg(p) * prod p(roots of q).
 
@@ -259,25 +281,15 @@ def _resultant_std(a: IntPoly, b: IntPoly) -> int:
     ca, cb = a.content(), b.content()
     a, b = a.primitive(), b.primitive()
     t = ca ** int(b.degree) * cb ** int(a.degree)
-    g = h = 1
-    while True:
-        da, db = int(a.degree), int(b.degree)
-        delta = da - db
+    da, db = int(a.degree), int(b.degree)
+    for r, _, _, h in subresultant_prs(a.coeffs, b.coeffs):
         if da % 2 == 1 and db % 2 == 1:
             s = -s
-        r = pseudo_rem(a, b)
-        a = b
-        if r.is_zero:
-            return 0
-        b = r.scalar_div(g * h**delta)
-        g = a.lc
-        if delta > 0:
-            h = _hpow(g, h, delta)
-        if b.degree == 0:
-            break
+        da, db = db, len(r) - 1
+    if db > 0:
+        return 0  # a zero remainder came before a constant
     # h <- h^(1-deg a) lc(b)^(deg a), exact in Z
-    da = int(a.degree)
-    num = b.coeffs[0] ** da
+    num = r[0] ** da
     den = h ** (da - 1)
     assert num % den == 0
     return s * t * (num // den)
@@ -302,18 +314,12 @@ def gcd_over_rationals(p: IntPoly, q: IntPoly) -> IntPoly:
     if p.is_zero or q.is_zero:
         raise ValueError("gcd with the zero polynomial is undefined")
     a, b = (p, q) if p.degree >= q.degree else (q, p)
-    a, b = a.primitive(), b.primitive()
-    g = h = 1
-    while not b.is_zero:
-        if b.degree == 0:
-            return ONE
-        delta = int(a.degree) - int(b.degree)
-        r = pseudo_rem(a, b)
-        a, b = b, (r if r.is_zero else r.scalar_div(g * h**delta))
-        g = a.lc
-        if delta > 0:
-            h = _hpow(g, h, delta)
-    out = a.primitive()
+    last = b.primitive().coeffs
+    for last, _, _, _ in subresultant_prs(a.primitive().coeffs, last):
+        pass
+    if len(last) == 1:
+        return ONE
+    out = IntPoly(last).primitive()
     return -out if out.lc < 0 else out
 
 

@@ -1,11 +1,12 @@
 """Exact real-root counting and isolation via Sturm sequences over rational intervals.
 
 Counts use the half-open convention (lo, hi]; open-interval helpers adjust by
-exact endpoint evaluation.  Chains are normalized to primitive parts each step
-(subresultant-style) so coefficients stay small, with signs corrected so the
-sequence remains a genuine Sturm chain.  Each polynomial object builds its
-chain once, on first use, and separability, the root pattern, counting,
-isolation and refinement all read that one chain.
+exact endpoint evaluation.  A chain is the subresultant pseudo-remainder
+sequence of (f, f') from the one kernel in ``intpoly``: each step divides by a
+known exact divisor instead of taking a content gcd, and each element is
+signed so the sequence is a genuine Sturm chain.  Each polynomial object
+builds its chain once, on first use, and separability, the root pattern,
+counting, isolation and refinement all read that one chain.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intpoly import IntPoly, pseudo_rem
+from .intpoly import IntPoly, subresultant_prs
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,14 @@ def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
 def _value_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
     """den^deg * p(num/den) for den > 0, by homogenized integer Horner; it has the sign of p."""
     acc = coeffs[-1]
+    if den == 1:
+        if num == 0:
+            return coeffs[0]
+        if num == 1:
+            return sum(coeffs)
+        for i in range(len(coeffs) - 2, -1, -1):
+            acc = acc * num + coeffs[i]
+        return acc
     dpow = 1
     for i in range(len(coeffs) - 2, -1, -1):
         dpow *= den
@@ -73,21 +82,32 @@ def _value_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
     return acc
 
 
-def _sturm_sequence(f: IntPoly) -> list[IntPoly]:
-    """f, f' and the negated pseudo-remainders, each reduced to its primitive part."""
-    chain = [f]
-    d = f.derivative()
-    if not d.is_zero:
-        chain.append(d.primitive())
-    while len(chain) >= 2 and chain[-1].degree > 0:
-        a, b = chain[-2], chain[-1]
-        r = pseudo_rem(a, b)
-        if r.is_zero:
-            break
-        # pseudo_rem = lc(b)^(deg a - deg b + 1) * (a mod b); flip so the
-        # stored element is a positive multiple of -(a mod b)
-        nxt = r if b.lc < 0 and (a.degree - b.degree) % 2 == 0 else -r
-        chain.append(nxt.scalar_div(nxt.content()))
+def _variations(values: list[int]) -> int:
+    """Sign changes along a sequence, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _sturm_sequence(f: IntPoly) -> list[tuple[int, ...]]:
+    """f, f' and the subresultant PRS of (f, f'), each element signed into a Sturm chain.
+
+    Stored element i is e_i * P_i times a positive factor, P the PRS.  Since
+    P_i+1 = prem(P_i-1, P_i) / beta and prem(a, b) = lc(b)^(delta+1) (a mod b),
+    the Sturm element -(S_i-1 mod S_i) has the sign
+    e_i+1 = -e_i-1 * sign(beta) * sign(lc P_i)^(delta+1) against P_i+1.  So
+    each element is a positive multiple of the primitive-part Sturm chain.
+    """
+    d = f.derivative().primitive()
+    if d.is_zero:
+        return [f.coeffs]
+    chain = [f.coeffs, d.coeffs]
+    # signs of the last two stored elements against the PRS ones, and lc of the last PRS one
+    prev, cur, lcb = 1, 1, d.lc
+    for r, delta, beta, _ in subresultant_prs(f.coeffs, d.coeffs):
+        flips = 1 + (beta < 0) + (lcb < 0 and delta % 2 == 0)
+        prev, cur = cur, (prev if flips % 2 == 0 else -prev)
+        chain.append(tuple(r) if cur > 0 else tuple(-c for c in r))
+        lcb = r[-1]
     return chain
 
 
@@ -95,26 +115,36 @@ class SturmChain:
     """Sturm chain of the squarefree part of a polynomial, shareable read-only.
 
     Built from p itself, it ends in a constant iff p is separable; otherwise
-    it ends in gcd(p, p') and is rebuilt from p / gcd(p, p').
+    it ends in a multiple of gcd(p, p') and is rebuilt from p / gcd(p, p').
     ``count(lo, hi)`` is the number of distinct real roots in (lo, hi].
     """
 
     def __init__(self, p: IntPoly):
         if p.is_zero:
             raise ValueError("zero polynomial")
-        chain = _sturm_sequence(p.primitive())
-        self.separable = chain[-1].degree == 0
+        f = p.primitive()
+        chain = _sturm_sequence(f)
+        self.separable = len(chain[-1]) == 1
         if not self.separable:
-            g = chain[-1]
-            chain = _sturm_sequence(chain[0].exact_div(-g if g.lc < 0 else g))
+            g = IntPoly(chain[-1]).primitive()
+            chain = _sturm_sequence(f.exact_div(-g if g.lc < 0 else g))
         # coefficients only: a chain kept on p must not refer back to p, or
         # freeing p would wait for the cycle collector
-        self.chain = [c.coeffs for c in chain]
-        self.squarefree = self.chain[0]
+        self.chain = chain
+        self.squarefree = chain[0]
 
     def variations(self, x: Fraction) -> int:
-        signs = [s for s in (_sign_at(c, x) for c in self.chain) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        """Sign changes of the chain at a rational (or integer) x."""
+        num, den = x.numerator, x.denominator
+        return _variations([_value_at(c, num, den) for c in self.chain])
+
+    def variations_at_infinity(self, side: int) -> int:
+        """Sign changes at +inf (side 1) or -inf (side -1), read from the leading coefficients.
+
+        No root of the squarefree part lies beyond its Cauchy bound, so this
+        equals the count at any point past that bound on the same side.
+        """
+        return _variations([c[-1] if side > 0 or len(c) % 2 else -c[-1] for c in self.chain])
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in the half-open interval (lo, hi]."""
@@ -289,18 +319,22 @@ def _refine_on_grid(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, levels:
 
 
 def root_pattern(p: IntPoly) -> RootPattern:
-    """Classify all distinct real roots of p against the marks -2, 0, 1, 2."""
+    """Classify all distinct real roots of p against the marks -2, 0, 1, 2.
+
+    The chain is read once at each mark: at -inf and +inf from its leading
+    coefficients, and at -2, 0, 1 and 2 by integer evaluation.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return RootPattern(0, 0, 0, 0, 0, 0, True)
     chain = _chain(p)
     f = chain.squarefree
-    bound = cauchy_bound(p) + 1
-    at_neg2 = 1 if _sign_at(f, Fraction(-2)) == 0 else 0
-    at_pos2 = 1 if _sign_at(f, Fraction(2)) == 0 else 0
-    below = chain.count(-bound, Fraction(-2)) - at_neg2
-    inside = chain.count(Fraction(-2), Fraction(2)) - at_pos2
-    above = chain.count(Fraction(2), bound)
-    in01 = chain.count_open(Fraction(0), Fraction(1))
+    at_neg2 = 1 if _value_at(f, -2, 1) == 0 else 0
+    at_pos2 = 1 if _value_at(f, 2, 1) == 0 else 0
+    v_neg2, v2 = chain.variations(-2), chain.variations(2)
+    below = chain.variations_at_infinity(-1) - v_neg2 - at_neg2
+    inside = v_neg2 - v2 - at_pos2
+    above = v2 - chain.variations_at_infinity(1)
+    in01 = chain.variations(0) - chain.variations(1) - (1 if sum(f) == 0 else 0)
     return RootPattern(below, at_neg2, inside, at_pos2, above, in01, chain.separable)

@@ -33,6 +33,9 @@ DEFAULT_PRECISION = 30
 # decimal digits of alpha; past about 4,290 the digit string exceeds
 # Python's default integer-to-string limit
 MAX_PRECISION = 4000
+# the exponent n in alpha^n - 1; unit_check's cost grows with n, see the
+# measured cost in the CLI help
+MAX_N = 10_000
 
 
 class CertificationError(Exception):
@@ -143,6 +146,12 @@ def unit_check(s_poly: IntPoly, n: int) -> int:
     return 0 if r.is_zero else resultant(r, s_poly)
 
 
+def check_n(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_N."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be between 1 and {MAX_N} (got {n})")
+
+
 def check_precision(digits: int) -> None:
     """Raise ValueError unless 1 <= digits <= MAX_PRECISION."""
     if not 1 <= digits <= MAX_PRECISION:
@@ -240,8 +249,7 @@ def certify_trace(
     Check order: monic/degree gates, separability, root pattern,
     irreducibility, reciprocal lift, unit resultant.  All arithmetic is exact.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_n(n)
     check_precision(precision_digits)
     if trace.is_zero or not trace.is_monic:
         raise CertificationError("monic", "trace polynomial must be monic", {"poly": trace.to_text()})
@@ -318,6 +326,7 @@ def certify_min_poly(
     extraction, so a failed unit property is reported even when the trace
     would be rejected on degree grounds.
     """
+    check_n(n)
     check_precision(precision_digits)
     if s_poly.is_zero or not s_poly.is_monic:
         raise CertificationError("monic", "minimal polynomial must be monic")
@@ -353,9 +362,9 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
         failures.append("root_pattern")
     if cert.irreducibility.verdict != "irreducible" or not verify_witness(trace, cert.irreducibility):
         failures.append("irreducibility")
-    # unit_check is defined for n >= 1 and a monic S only
+    # unit_check is defined for a monic S only, and bounded to 1 <= n <= MAX_N
     if (
-        n < 1
+        not 1 <= n <= MAX_N
         or not cert.min_poly.is_monic
         or unit_check(cert.min_poly, n) != cert.resultant_value
         or abs(cert.resultant_value) != 1

@@ -192,6 +192,36 @@ class TestCertify:
         assert len(err.splitlines()) == 1 and "4000" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "23,-4,-6,1", "--n", "10001"),
+            ("certify", "1,-3,1", "--n", "10001", "--as", "min"),
+            ("search", "--n", "10004", "--t", "5005"),
+        ],
+    )
+    def test_n_over_bound_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "10000" in err
+
+    def test_from_report_with_n_over_bound_fails(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        run(capsys, "search", "--n", "12", "--t", "9", "--want", "1", "--output", str(path))
+        payload = json.loads(path.read_text())
+        payload["certificates"][0]["n"] = 10**30
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "certify", "--from-report", str(path))
+        assert code == 5 and err == ""
+        assert out.startswith("FAIL") and out.rstrip().endswith("resultant")
+
+    def test_help_states_n_bound(self, capsys):
+        for command in ("certify", "search"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "at most 10000" in " ".join(capsys.readouterr().out.split())
+
+
 class TestSelftest:
     def test_passes_and_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "selftest", "--seed", "42")

@@ -17,7 +17,7 @@ from salemunits.construct import (
 )
 from salemunits.intpoly import ONE, IntPoly, resultant, lift_trace
 from salemunits.roots import sturm_count_open
-from salemunits.salem import MAX_PRECISION, certify_trace
+from salemunits.salem import MAX_N, MAX_PRECISION, certify_trace
 from salemunits.trigpolys import cyclo_trace
 
 _x = sympy.Symbol("x")
@@ -223,6 +223,13 @@ class TestSearch:
         for digits in (0, MAX_PRECISION + 1):
             with pytest.raises(ValueError, match="precision"):
                 search(20, 15, precision_digits=digits)
+
+    def test_n_bound(self):
+        # refused before planning; MAX_N + 4 is 4 mod 8 and not a multiple of 5
+        assert (MAX_N + 4) % 8 == 4 and (MAX_N + 4) % 5 != 0
+        for n in (MAX_N + 4, 10**30 + 4):
+            with pytest.raises(ValueError, match="n must be between"):
+                search(n, n // 2 + 3)
 
     def test_degree_one_cyclo_factor_family(self):
         # n = 4 has the degree-1 cyclotomic trace factor; the pipeline still

@@ -1,8 +1,10 @@
 """Exact polynomial arithmetic: examples, ring laws, and dual-route resultant checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from salemunits.intpoly import (
     lift_trace,
     pseudo_rem,
     resultant,
+    subresultant_prs,
 )
 
 polys = st.builds(IntPoly, st.lists(st.integers(-50, 50), max_size=21))
@@ -238,3 +241,78 @@ class TestTraceLift:
         assert is_reciprocal(IntPoly([1, -3, 1]))
         assert not is_reciprocal(IntPoly([-2, 1]))
         assert is_reciprocal(ONE)
+
+
+_x = sympy.Symbol("x")
+
+
+def _sympy_poly(p: IntPoly) -> sympy.Poly:
+    return sympy.Poly(list(reversed(p.coeffs)), _x, domain="ZZ")
+
+
+def _sympy_resultant(p: IntPoly, q: IntPoly) -> int:
+    """resultant(p, q) in this package's convention, that is the classical Res(q, p), from sympy.
+
+    sympy.resultant(f, g) has the wrong sign for some deg f < deg g (seen with
+    sympy 1.14: it gives -9 for x - 2 and x^3 + 1), so the larger degree goes first.
+    """
+    dp, dq = int(p.degree), int(q.degree)
+    if dq >= dp:
+        return int(sympy.resultant(_sympy_poly(q), _sympy_poly(p)))
+    return (-1) ** (dp * dq) * int(sympy.resultant(_sympy_poly(p), _sympy_poly(q)))
+
+
+def _gapped_pair(rng: random.Random) -> tuple[IntPoly, IntPoly]:
+    """(a, b) with a = q b + r and 1 <= deg r <= deg b - 2, times random contents.
+
+    The second step of their PRS divides b by r, a step with delta >= 2 after
+    a normal one; the contents make both inputs non-primitive.
+    """
+    m = rng.randint(3, 9)
+    b = IntPoly([rng.randint(-9, 9) for _ in range(m)] + [rng.choice([1, -1, 2, -3])])
+    r = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, m - 2))] + [rng.choice([1, -2, 3])])
+    q = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.choice([1, -1, 2])])
+    a = q * b + r
+    return a * rng.choice([1, 2, -6, 15]), b * rng.choice([1, -1, 4, 9])
+
+
+class TestSubresultantKernel:
+    """resultant and gcd_over_rationals, which read the one PRS kernel, against sympy."""
+
+    def test_pairs_with_a_gap(self):
+        rng = random.Random(23)
+        gapped = 0
+        for _ in range(60):
+            a, b = _gapped_pair(rng)
+            deltas = [step[1] for step in subresultant_prs(a.primitive().coeffs, b.primitive().coeffs)]
+            gapped += any(d >= 2 for d in deltas[1:])
+            assert resultant(a, b) == _sympy_resultant(a, b)
+            assert resultant(b, a) == _sympy_resultant(b, a)
+            self._check_gcd(a * b.primitive(), b * IntPoly([rng.randint(-4, 4), 1]))
+            self._check_gcd(a, b)
+        assert gapped >= 30
+
+    def test_sparse_and_common_factor_pairs(self):
+        # x^k + c against its derivative, and pairs sharing a factor, with contents
+        rng = random.Random(29)
+        for _ in range(40):
+            k = rng.randint(3, 12)
+            f = IntPoly([rng.randint(-9, 9), rng.randint(-3, 3)] + [0] * (k - 2) + [1])
+            common = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.choice([1, 2])])
+            for a, b in ((f * 6, f.derivative()), (f * common * 4, f.derivative() * common * -10)):
+                assert resultant(a, b) == _sympy_resultant(a, b)
+                assert resultant(b, a) == _sympy_resultant(b, a)
+                self._check_gcd(a, b)
+
+    def test_delta_two_step(self):
+        # x^4 + 1 and x^2 - 2 start with delta = 2; the kernel's result is prem / 1
+        steps = list(subresultant_prs((1, 0, 0, 0, 1), (-2, 0, 1)))
+        assert [(r, delta) for r, delta, _, _ in steps] == [([5], 2)]
+
+    @staticmethod
+    def _check_gcd(a: IntPoly, b: IntPoly) -> None:
+        expected = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
+        _, expected = expected.primitive()
+        if expected.LC() < 0:
+            expected = -expected
+        assert gcd_over_rationals(a, b) == IntPoly(reversed(expected.all_coeffs()))

@@ -12,12 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemunits import roots
 from salemunits.construct import build_candidate, plan_construction
-from salemunits.intpoly import IntPoly
+from salemunits.intpoly import IntPoly, pseudo_rem
 from salemunits.roots import (
     IsolatingInterval,
     RootPattern,
@@ -393,3 +393,124 @@ class TestChainSharing:
         assert root_pattern(t) == expected
         squarefree = (x - 2) * (x + 1) * (x - 5) * IntPoly([-1, -1, 1])
         assert root_pattern(squarefree) == dataclasses.replace(expected, separable=True)
+
+
+def _reference_sturm_chain(p: IntPoly) -> tuple[list[IntPoly], bool]:
+    """The primitive-part Sturm chain that the subresultant chain replaced, kept as a reference.
+
+    Returns the chain of the squarefree part and whether p is separable.
+    """
+
+    def sequence(f: IntPoly) -> list[IntPoly]:
+        chain = [f]
+        d = f.derivative()
+        if not d.is_zero:
+            chain.append(d.primitive())
+        while len(chain) >= 2 and chain[-1].degree > 0:
+            a, b = chain[-2], chain[-1]
+            r = pseudo_rem(a, b)
+            if r.is_zero:
+                break
+            nxt = r if b.lc < 0 and (a.degree - b.degree) % 2 == 0 else -r
+            chain.append(nxt.primitive())
+        return chain
+
+    chain = sequence(p.primitive())
+    separable = chain[-1].degree == 0
+    if not separable:
+        g = chain[-1]
+        chain = sequence(chain[0].exact_div(-g if g.lc < 0 else g))
+    return chain, separable
+
+
+def _reference_variations(chain: list[IntPoly], x: Fraction) -> int:
+    signs = [v > 0 for v in (c(x) for c in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+@st.composite
+def _chain_inputs(draw) -> IntPoly:
+    """Polynomials of degree 1..30: dense, sparse, non-squarefree, with either sign of lc."""
+    lead = draw(st.integers(-4, 4).filter(bool))
+    shape = draw(st.sampled_from(("dense", "sparse", "power")))
+    if shape == "dense":
+        return IntPoly(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=30)) + [lead])
+    if shape == "sparse":
+        # lead x^d + low terms of degree < d/2: the first remainder drops far
+        # below deg f' - 1, so the next step has delta >= 2
+        d = draw(st.integers(2, 30))
+        low = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=(d + 1) // 2))
+        return IntPoly(low + [0] * (d - len(low)) + [lead])
+    # a product with repeated factors
+    q = IntPoly(draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)) + [lead])
+    r = IntPoly(draw(st.lists(st.integers(-5, 5), max_size=6)) + [1])
+    p = q ** draw(st.integers(2, 4)) * r
+    assume(p.degree <= 30)
+    return p
+
+
+class TestSubresultantChain:
+    """The subresultant Sturm chain against the primitive-part chain it replaced."""
+
+    @given(_chain_inputs(), st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), max_size=5))
+    @example(IntPoly([1, 0, 0, 0, 1]), [])
+    @example(IntPoly([1, 1, 0, 0, 0, 1]), [Fraction(-3, 4)])
+    @example(-(IntPoly([-1, 1]) ** 3) * IntPoly([2, 0, 1]), [Fraction(1)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_primitive_chain(self, p, points):
+        assume(p.degree >= 1)
+        chain = SturmChain(p)
+        reference, separable = _reference_sturm_chain(p)
+        # each element a positive rational multiple of the reference element:
+        # the reference is primitive, and primitive() keeps the sign
+        assert [IntPoly(c).primitive() for c in chain.chain] == reference
+        assert chain.separable == separable
+        for x in [Fraction(m) for m in (-2, 0, 1, 2)] + points:
+            assert chain.variations(x) == _reference_variations(reference, x)
+        bound = cauchy_bound(p) + 1
+        assert chain.variations_at_infinity(1) == _reference_variations(reference, bound)
+        assert chain.variations_at_infinity(-1) == _reference_variations(reference, -bound)
+
+    def test_sparse_chain_has_a_gap(self):
+        # x^5 + x + 1: rem(f, f') has degree 1, so the next step has delta = 3
+        p = IntPoly([1, 1, 0, 0, 0, 1])
+        assert [len(c) - 1 for c in SturmChain(p).chain] == [5, 4, 1, 0]
+        assert [c.degree for c in _reference_sturm_chain(p)[0]] == [5, 4, 1, 0]
+
+
+def _pattern_runs(runs: list[tuple[int, int, int]]) -> list[dict]:
+    """Expand runs of (count, in_neg2_2, in_0_1); every other field is the same on these plans."""
+    out = []
+    for count, inside, in01 in runs:
+        row = dict(below_neg2=0, at_neg2=0, in_neg2_2=inside, at_pos2=0, above_pos2=1, in_0_1=in01, separable=True)
+        out += [row] * count
+    return out
+
+
+class TestRootPatternGuard:
+    """root_pattern on the benchmark plans, pinned to values recorded with the primitive-part chain."""
+
+    EXPECTED = {
+        (44, 31, 40): _pattern_runs([(1, 22, 4), (1, 24, 4), (3, 22, 2), (5, 24, 2), (7, 26, 4), (9, 28, 6), (12, 30, 6)]),
+        (92, 61, 115): _pattern_runs(
+            [(1, 44, 8), (1, 50, 8), (7, 50, 6), (91, 52, 8), (1, 54, 8), (5, 56, 8), (2, 58, 8), (5, 60, 10)]
+        ),
+    }
+
+    def test_patterns_and_integer_marks(self, monkeypatch):
+        value_at = roots._value_at
+        points = []
+
+        def recording(coeffs, num, den):
+            points.append((num, den))
+            return value_at(coeffs, num, den)
+
+        monkeypatch.setattr(roots, "_value_at", recording)
+        for (n, t, a_max), expected in self.EXPECTED.items():
+            plan = plan_construction(n, t)
+            candidates = [build_candidate(plan, a) for a in range(3, a_max + 1)]
+            points.clear()
+            got = [root_pattern(p).to_json_dict() for p in candidates]
+            assert [list(d.items()) for d in got] == [list(d.items()) for d in expected]
+            # only integer marks: no evaluation at the Cauchy bound
+            assert points and all(den == 1 and abs(num) <= 2 for num, den in points)

@@ -13,6 +13,7 @@ from salemunits.factor import IrreducibilityWitness
 from salemunits.intpoly import IntPoly, lift_trace, resultant
 from salemunits.roots import IsolatingInterval, cauchy_bound, isolate_roots, refine, root_pattern
 from salemunits.salem import (
+    MAX_N,
     MAX_PRECISION,
     CertificationError,
     SalemCertificate,
@@ -127,6 +128,21 @@ class TestCertifyTrace:
             with pytest.raises(ValueError, match="precision"):
                 certify_min_poly(cert.min_poly, 12, precision_digits=digits)
 
+    def test_n_bound(self, monkeypatch):
+        # n = MAX_N is accepted and reaches the unit check, which it fails
+        with pytest.raises(CertificationError) as err:
+            certify_trace(_good_trace(3), MAX_N)
+        assert err.value.check == "resultant"
+        # out of range is refused before any check runs
+        monkeypatch.setattr(salem, "is_separable", None)
+        monkeypatch.setattr(salem, "unit_check", None)
+        s_poly = lift_trace(_good_trace(3), 9)
+        for n in (0, MAX_N + 1):
+            with pytest.raises(ValueError, match=f"n must be between 1 and {MAX_N}"):
+                certify_trace(_good_trace(3), n)
+            with pytest.raises(ValueError, match=f"n must be between 1 and {MAX_N}"):
+                certify_min_poly(s_poly, n)
+
     def test_degree_rejection(self):
         with pytest.raises(CertificationError) as err:
             certify_trace(IntPoly([-3, 1]), 12)
@@ -215,6 +231,13 @@ class TestCertificate:
         # unit_check raises outside n >= 1 and a monic S; replay reports a failure
         cert = certify_trace(_good_trace(5), 12, a=5)
         assert "resultant" in verify_certificate(replace(cert, **{field: value}))
+
+    @pytest.mark.parametrize("n", [MAX_N + 1, 10**40])
+    def test_replay_with_n_over_bound(self, monkeypatch, n):
+        # a forged n past the bound fails without running unit_check, so it cannot hang
+        cert = certify_trace(_good_trace(5), 12, a=5)
+        monkeypatch.setattr(salem, "unit_check", None)
+        assert verify_certificate(replace(cert, n=n)) == ["resultant"]
 
     @pytest.mark.parametrize("digits", [0, -1, MAX_PRECISION + 1])
     def test_replay_with_precision_out_of_range(self, digits):
