@@ -2,20 +2,21 @@
 
 Strategy: a modular degree filter first (factor-degree multisets modulo several
 good primes, by distinct-degree factorization on the Frobenius map; if the
-subset-sum intersection is trivial the polynomial is irreducible).  When it
-gives no verdict, the trace must have the Salem root pattern: one root above
-2, the other t - 1 in (-2, 2).  Then any factor that lacks the large root has
-all its roots in (-2, 2), so by Kronecker's theorem it is a product of
-cyclotomic traces psi_m, and three exact gcds find one
-(Bradford & Davenport, *Effective tests for cyclotomic polynomials*, 1988).
+subset-sum intersection is trivial the polynomial is irreducible).  It runs on
+coefficients packed into one int, w = 2 bits((n + 1) q^2) + bits(q) bits to a
+coefficient at degree n mod q, so a division step is a few bigint operations.
+When it gives no verdict, the trace must have the Salem root pattern: one root
+above 2, the other t - 1 in (-2, 2).  Then any factor that lacks the large root
+has all its roots in (-2, 2), so by Kronecker's theorem it is a product of
+cyclotomic traces psi_m, and three exact gcds find one (Bradford & Davenport,
+*Effective tests for cyclotomic polynomials*, 1988).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from operator import mul
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .intpoly import IntPoly, gcd_over_rationals
 from .roots import is_separable, root_pattern
@@ -63,59 +64,56 @@ class IrreducibilityWitness:
         )
 
 
-# -- arithmetic on coefficient lists modulo m --------------------------------
+class _Packed:
+    """Polynomials of degree at most n mod a prime q: coefficient i in bits [w i, w i + w) of one int.
+
+    A slot stays below bound = (n + 1) q^2 between reductions: a division adds
+    at most n terms c (q - b_i) < q^2 to each slot of a reduced input, and a
+    Frobenius product sums n terms under q^2.  reduce() takes every slot mod q at
+    once by floor(x / q) = (x m) >> s, m = ceil(2^s / q), exact as 2^s >= bound q
+    (Granlund & Montgomery, 1994); w = s + bits(bound) keeps x m inside its slot.
+    """
+
+    def __init__(self, n: int, q: int):
+        self.q, self.bound = q, (n + 1) * q * q
+        self.s = s = self.bound.bit_length() + q.bit_length()
+        self.w = w = s + self.bound.bit_length()
+        self.m, self.slot = -(-(1 << s) // q), (1 << w) - 1
+        self.ones = ((1 << (w * (n + 1))) - 1) // self.slot  # 1 in each of n + 1 slots
+        self.quot_mask = self.ones * ((1 << (w - s)) - 1)
+
+    def pack(self, coeffs: Iterable[int]) -> int:
+        return sum((c % self.q) << (self.w * i) for i, c in enumerate(coeffs))
+
+    def degree(self, a: int) -> int:
+        """The degree of a reduced a; -1 for zero."""
+        return (a.bit_length() - 1) // self.w
+
+    def reduce(self, a: int) -> int:
+        return a - self.q * ((a * self.m >> self.s) & self.quot_mask)
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Quotient and remainder of reduced a by reduced nonzero b, both reduced."""
+        q, w, db = self.q, self.w, self.degree(b)
+        inv = pow(b >> (w * db), -1, q)
+        comp = (q * self.ones - b) & ((1 << (w * db)) - 1)  # q - b_i under the top slot: no borrows
+        quo = 0
+        for top in range(self.degree(a), db - 1, -1):
+            head = a >> (w * top)
+            a -= head << (w * top)  # clear the top slot, now 0 mod q
+            c = head * inv % q
+            a += c * comp << (w * (top - db))
+            quo |= c << (w * (top - db))
+        return quo, self.reduce(a)
+
+    def gcd(self, a: int, b: int) -> int:
+        """The monic gcd of reduced a and b."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.reduce(a * pow(a >> (self.w * self.degree(a)), -1, self.q)) if a else 0
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _mp_from_poly(p: IntPoly, m: int) -> list[int]:
-    return _trim([c % m for c in p.coeffs])
-
-
-def _mp_sub(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % m
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _trim(out)
-
-
-def _mp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division with remainder; lc(b) must be invertible mod m (monic is safest)."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    inv = pow(b[-1], -1, m)
-    r = [c % m for c in a]
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    db = len(b) - 1
-    _trim(r)
-    while len(r) - 1 >= db and r:
-        head = (r[-1] * inv) % m
-        e = len(r) - 1 - db
-        q[e] = head
-        for i, bc in enumerate(b):
-            r[e + i] = (r[e + i] - head * bc) % m
-        _trim(r)
-    return _trim(q), r
-
-
-def _mp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd mod p."""
-    while b:
-        a, b = b, _mp_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p) if a else 0
-    return _trim([(c * inv) % p for c in a])
-
-
-# -- factor degrees modulo a prime --------------------------------------------
-
-
-def _degree_multiset(f: list[int], q: int) -> tuple[int, ...]:
+def _degree_multiset(f: Sequence[int], q: int) -> tuple[int, ...]:
     """Factor degrees of a monic f, squarefree mod q, by distinct-degree factorization.
 
     Frobenius h -> h^q is linear mod q, as h(x)^q = h(x^q), so each step is one
@@ -123,21 +121,22 @@ def _degree_multiset(f: list[int], q: int) -> tuple[int, ...]:
     stays reduced mod f: gcd(h - x, rest) is unchanged, because rest | f.
     """
     n = len(f) - 1
-    rows = [[1]]
+    k = _Packed(n, q)
+    rest = k.pack(f)
+    rows = [1]
     for _ in range(1, n):
-        rows.append(_mp_divmod([0] * q + rows[-1], f, q)[1])
-    cols = [[r[j] if j < len(r) else 0 for r in rows] for j in range(n)]
+        rows.append(k.divmod(rows[-1] << (k.w * q), rest)[1])
     degs: list[int] = []
-    rest, h, d = f, [0, 1], 0
-    while len(rest) - 1 >= 2 * (d + 1):
+    h, d = 1 << k.w, 0
+    while k.degree(rest) >= 2 * (d + 1):
         d += 1
-        h = [sum(map(mul, h, col)) % q for col in cols]
-        g = _mp_gcd(_mp_sub(h, [0, 1], q), rest, q)
-        if len(g) > 1:
-            degs += [d] * ((len(g) - 1) // d)
-            rest = _mp_divmod(rest, g, q)[0]
-    if len(rest) > 1:
-        degs.append(len(rest) - 1)
+        h = k.reduce(sum((h >> (k.w * i) & k.slot) * row for i, row in enumerate(rows)))
+        g = k.gcd(k.reduce(h + ((q - 1) << k.w)), rest)  # h - x
+        if g > 1:
+            degs += [d] * (k.degree(g) // d)
+            rest = k.divmod(rest, g)[0]
+    if k.degree(rest) > 0:
+        degs.append(k.degree(rest))
     return tuple(sorted(degs))
 
 
@@ -153,7 +152,8 @@ def _good_primes(p: IntPoly, count: int) -> list[int]:
     out: list[int] = []
     cand = 3
     while len(out) < count:
-        if _is_prime(cand) and _mp_gcd(_mp_from_poly(p, cand), _mp_from_poly(dp, cand), cand) == [1]:
+        k = _Packed(int(p.degree), cand)
+        if _is_prime(cand) and k.gcd(k.pack(p.coeffs), k.pack(dp.coeffs)) == 1:
             out.append(cand)
         cand += 2
     return out
@@ -241,7 +241,7 @@ def is_irreducible(p: IntPoly) -> IrreducibilityWitness:
         raise ValueError("polynomial must be squarefree")
     deg = int(p.degree)
     primes = _good_primes(p, _FILTER_PRIME_COUNT)
-    multisets = [_degree_multiset(_mp_from_poly(p, q), q) for q in primes]
+    multisets = [_degree_multiset(p.coeffs, q) for q in primes]
     if _filter_proves_irreducible(deg, multisets):
         return IrreducibilityWitness(
             verdict="irreducible",

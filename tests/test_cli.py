@@ -174,6 +174,14 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "1,x,3", "--n", "2")
         assert code == 2
 
+    def test_negative_leading_coefficient_after_double_dash(self, capsys):
+        # without "--", argparse reads "-1,-3,1" as an unknown option
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "certify", "--n", "2", "-1,-3,1")
+        assert exc.value.code == 2 and "unrecognized arguments: -1,-3,1" in capsys.readouterr().err
+        code, _, err = run(capsys, "certify", "--n", "2", "--", "-1,-3,1")
+        assert code == 5 and "rejected at check 'resultant'" in err
+
     def test_missing_n_exits_2(self, capsys):
         code, _, err = run(capsys, "certify", "1,-3,1")
         assert code == 2

@@ -6,6 +6,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcd, gf_mul, gf_strip
 
 from salemunits.construct import build_candidate, plan_construction
 from salemunits.factor import (
@@ -15,7 +17,7 @@ from salemunits.factor import (
     _good_primes,
     _graeffe_trace,
     _is_prime,
-    _mp_from_poly,
+    _Packed,
     _zassenhaus,
     is_irreducible,
     verify_witness,
@@ -232,6 +234,24 @@ def sympy_degrees_mod(f: list[int], q: int) -> tuple[int, ...]:
     return tuple(sorted(g.degree() for g, e in factors for _ in range(e)))
 
 
+# (n, t, a) -> (primes, degree multisets): (44,31) a=29 and every certificate of the certify workload
+PINNED_WITNESSES = {
+    (44, 31, 29): ([3, 5, 13, 17, 19], [[5, 11, 15], [2, 3, 8, 18], [1, 2, 7, 21], [1, 2, 3, 6, 19], [6, 25]]),
+    (92, 61, 111): ([3, 5, 7, 11, 13], [[17, 44], [1, 3, 3, 19, 35], [1, 16, 20, 24], [1, 2, 2, 14, 42], [1, 23, 37]]),
+    (92, 61, 112): ([3, 5, 7, 11, 13], [[2, 59], [1, 2, 2, 4, 4, 10, 12, 26], [1, 60], [1, 2, 3, 4, 51], [61]]),
+    (92, 61, 113): ([3, 5, 7, 11, 13], [[2, 4, 6, 12, 37], [7, 12, 15, 27], [2, 5, 5, 21, 28], [3, 3, 5, 9, 10, 31], [1, 1, 15, 44]]),
+    (92, 61, 114): ([3, 5, 7, 11, 13], [[17, 44], [2, 8, 14, 37], [1, 3, 18, 39], [3, 5, 15, 15, 23], [8, 10, 43]]),
+    (92, 61, 115): ([3, 5, 7, 11, 13], [[2, 59], [14, 17, 30], [1, 3, 9, 11, 37], [1, 1, 3, 8, 23, 25], [3, 20, 38]]),
+    (124, 71, 158): ([3, 5, 7, 11, 13], [[4, 4, 16, 47], [4, 8, 14, 18, 27], [1, 2, 3, 15, 15, 35], [1, 5, 5, 8, 16, 17, 19], [4, 7, 10, 50]]),
+    (124, 71, 159): ([3, 5, 7, 11, 13], [[3, 12, 14, 16, 26], [1, 6, 8, 27, 29], [3, 68], [7, 7, 11, 23, 23], [5, 7, 59]]),
+    (124, 71, 160): ([3, 5, 7, 11, 13], [[71], [4, 6, 61], [13, 23, 35], [4, 8, 59], [3, 3, 3, 8, 21, 33]]),
+}
+
+
+# primes up to 67: every slot-width switch below 67 at degrees 1..150 lies between two of them
+SWITCH_PRIMES = list(sympy.primerange(3, 68))
+
+
 class TestDegreeMultiset:
     """The filter's factor degrees mod q against sympy's factorization over F_q."""
 
@@ -250,37 +270,68 @@ class TestDegreeMultiset:
             for a in a_values:
                 p = build_candidate(plan, a)
                 for q in _good_primes(p, 5):
-                    f = _mp_from_poly(p, q)
-                    assert _degree_multiset(f, q) == sympy_degrees_mod(f, q)
+                    assert _degree_multiset(p.coeffs, q) == sympy_degrees_mod(p.coeffs, q)
+
+    @given(st.integers(1, 150), st.integers(0, 99), st.booleans(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_sympy_at_slot_width_switches(self, n, pick, above, data):
+        # q just below or just above a prime where the slot width of degree n changes
+        switches = [(a, b) for a, b in zip(SWITCH_PRIMES, SWITCH_PRIMES[1:]) if _Packed(n, a).w != _Packed(n, b).w]
+        q = switches[pick % len(switches)][above]
+        # 0 and q - 1 make the largest slot sums: complements q - 0 and quotient terms q - 1
+        coeff = st.one_of(st.sampled_from([0, q - 1]), st.integers(0, q - 1))
+        f = data.draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
+        # sympy's is_sqf calls x^q squarefree mod q, so read its squarefree decomposition
+        assume(all(e == 1 for _, e in sympy.Poly(f[::-1], _x, modulus=q).sqf_list()[1]))
+        assert _degree_multiset(f, q) == sympy_degrees_mod(f, q)
 
     @pytest.mark.parametrize(
         "plan, a, expected",
         [
-            (
-                (44, 31),
-                29,
-                {
-                    "verdict": "irreducible",
-                    "method": "modular-degree-filter",
-                    "primes": [3, 5, 13, 17, 19],
-                    "degree_multisets": [[5, 11, 15], [2, 3, 8, 18], [1, 2, 7, 21], [1, 2, 3, 6, 19], [6, 25]],
-                },
-            ),
-            (
-                (92, 61),
-                111,
-                {
-                    "verdict": "irreducible",
-                    "method": "modular-degree-filter",
-                    "primes": [3, 5, 7, 11, 13],
-                    "degree_multisets": [[17, 44], [1, 3, 3, 19, 35], [1, 16, 20, 24], [1, 2, 2, 14, 42], [1, 23, 37]],
-                },
-            ),
+            ((n, t), a, {"verdict": "irreducible", "method": "modular-degree-filter", "primes": primes, "degree_multisets": multisets})
+            for (n, t, a), (primes, multisets) in PINNED_WITNESSES.items()
         ],
     )
     def test_witness_bytes_pinned(self, plan, a, expected):
-        # recorded before the filter moved to the Frobenius matrix: certificates must not change
+        # recorded with the earlier list-based kernels: certificates must not change
         assert is_irreducible(build_candidate(plan_construction(*plan), a)).to_json_dict() == expected
+
+
+def _unpack(k: _Packed, a: int, length: int) -> list[int]:
+    return [(a >> (k.w * i)) & k.slot for i in range(length)]
+
+
+class TestPackedKernel:
+    """The packed mod-q arithmetic at its limits: the slot bound, non-monic gcds, q | deg."""
+
+    @given(st.integers(1, 150), st.sampled_from(SWITCH_PRIMES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_matches_mod_at_slot_bound(self, n, q, data):
+        k = _Packed(n, q)
+        # the largest slot a division (a reduced slot plus n terms c (q - b_i)) or a Frobenius product makes
+        assert max(q - 1 + n * (q - 1) * q, n * (q - 1) ** 2) < k.bound
+        slot = st.one_of(st.just(k.bound - 1), st.integers(k.bound - q * q, k.bound - 1), st.integers(0, k.bound - 1))
+        values = data.draw(st.lists(slot, min_size=1, max_size=n + 1))
+        r = k.reduce(sum(c << (k.w * i) for i, c in enumerate(values)))
+        assert r >> (k.w * len(values)) == 0
+        assert _unpack(k, r, len(values)) == [c % q for c in values]
+
+    @given(st.sampled_from(SWITCH_PRIMES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_matches_sympy(self, q, data):
+        # deg p = 0 mod q half the time: p' mod q then loses its leading term
+        n = data.draw(st.one_of(st.integers(1, 150), st.integers(1, 150 // q).map(lambda j: j * q)))
+        coeff = st.integers(0, q - 1)
+        p = data.draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
+        dp = [i * c for i, c in enumerate(p)][1:]
+        # non-monic operands with a planted common factor
+        g = data.draw(st.lists(coeff, min_size=1, max_size=1 + n // 3))
+        u, v = (data.draw(st.lists(coeff, max_size=n - len(g) + 1)) for _ in range(2))
+        a, b = (gf_mul(g[::-1], c[::-1], q, ZZ)[::-1] for c in (u, v))
+        k = _Packed(n, q)
+        for x, y in ((p, dp), (a, b)):
+            want = gf_gcd(gf_strip([c % q for c in x[::-1]]), gf_strip([c % q for c in y[::-1]]), q, ZZ)
+            assert k.gcd(k.pack(x), k.pack(y)) == k.pack(map(int, want[::-1]))
 
 
 def test_is_prime_matches_sympy():
