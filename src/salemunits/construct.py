@@ -11,14 +11,28 @@ or the run aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import isqrt
+from typing import Optional
 
+from .factor import separable_mod_prime
 from .intpoly import IntPoly, gcd_over_rationals
-from .roots import is_separable, root_pattern, sturm_count_open
-from .salem import DEFAULT_PRECISION, CertificationError, SalemCertificate, certify_trace, check_n, check_precision
+from .roots import _laguerre_fails, _value_at, is_separable, root_pattern, sturm_count_open
+from .salem import (
+    DEFAULT_PRECISION,
+    CertificationError,
+    SalemCertificate,
+    certify_trace,
+    check_n,
+    check_precision,
+    check_t,
+)
 from .trigpolys import (
     cheb,
+    cheb_roots_dyadic,
     cheb_roots_in_unit_interval,
     cyclo_trace,
+    cyclo_trace_roots_dyadic,
     cyclo_trace_roots_in_unit_interval,
 )
 
@@ -35,6 +49,14 @@ SHAPE_QUAD_SHIFT = "x^2-a*x+(a-2)"
 _GOLDEN = IntPoly([-1, 1, 1])  # x^2 + x - 1, roots (-1 +/- sqrt(5))/2
 _GOLDEN_MIRROR = IntPoly([-1, -1, 1])  # x^2 - x - 1, its mirror image
 _XX_MINUS_4 = IntPoly([-4, 0, 1])
+
+# The root-pattern pre-check of ``search``: roots of P approximated on the grid
+# 2^-_PROBE_BITS; _PROBE_ARCHES positive arches of P probed (the one at the
+# a-factor's small root, then the narrowest), each by _PROBE_STEPS bisections
+# on the sign of T' towards its peak.
+_PROBE_BITS = 32
+_PROBE_ARCHES = 8
+_PROBE_STEPS = 6
 
 
 class HypothesisError(Exception):
@@ -263,6 +285,72 @@ def build_linear_family(n: int, t: int, d_factor: IntPoly, a: int) -> IntPoly:
     return r
 
 
+def _quadratic_roots(f: IntPoly, bits: int) -> list[int]:
+    """Numerators over 2^bits of the real roots of a monic quadratic, each within 2^-bits."""
+    c, b, _ = f.coeffs
+    s = isqrt((b * b - 4 * c) << 2 * bits)
+    return [((-b << bits) - s) >> 1, ((-b << bits) + s) >> 1]
+
+
+def _fixed_roots(plan: ConstructionPlan) -> list[int]:
+    """Numerators over 2^_PROBE_BITS of the roots of the plan's fixed factors, from their closed forms."""
+    m = 2 + 4 * plan.k if plan.construction == QUAD_SHIFT else 4 * plan.k
+    roots = cyclo_trace_roots_dyadic(plan.n, _PROBE_BITS) + cheb_roots_dyadic(m, _PROBE_BITS)
+    for f in plan.factors[1:-1]:  # x^2 - 4 and the golden quadratic
+        roots += _quadratic_roots(f, _PROBE_BITS)
+    if len(roots) != sum(int(f.degree) for f in plan.factors):
+        raise RuntimeError(f"closed-form roots do not match the factors of the {plan.construction} plan")
+    return roots
+
+
+def _laguerre_point(trace: IntPoly, roots: list[int], moving: int) -> Optional[Fraction]:
+    """A point where Laguerre's inequality fails for T = P - 1, or None.
+
+    ``roots`` approximate the roots of P, ascending, and ``moving`` is the
+    index of the small root of the a-factor among them.  Where an arch of P
+    (an interval between consecutive roots, with P > 0) peaks below 1, T has
+    a negative local maximum, and the inequality fails near it.  The arch at
+    the moving root and the narrowest arches are the likeliest to be that low.
+    """
+    f, t, shift = trace.coeffs, len(roots), _PROBE_STEPS
+    den = 1 << (_PROBE_BITS + shift)
+    # P > 0 between roots i and i + 1 when an even number of roots lie above them
+    first = moving - (t - 1 - moving) % 2  # the positive arch that starts or ends at the moving root
+    arches = sorted(range((t - 1) % 2, t - 1, 2), key=lambda i: (i != first, roots[i + 1] - roots[i]))
+    d1 = d2 = None
+    for i in arches[:_PROBE_ARCHES]:
+        lo, hi = roots[i] << shift, roots[i + 1] << shift
+        mid = (lo + hi) >> 1
+        if _value_at(f, mid, den) >= 0:
+            continue  # P >= 1 at the midpoint: the arch holds two roots of T
+        if d1 is None:
+            dp = trace.derivative()
+            d1, d2 = dp.coeffs, dp.derivative().coeffs
+        for _ in range(_PROBE_STEPS):
+            if _value_at(d1, mid, den) > 0:  # T' = P' > 0 left of the peak
+                lo = mid
+            else:
+                hi = mid
+            mid = (lo + hi) >> 1
+        if _laguerre_fails(f, d1, d2, mid, den):
+            return Fraction(mid, den)
+    return None
+
+
+def _pattern_rejection(trace: IntPoly, roots: list[int], moving: int) -> Optional[tuple[Fraction, int]]:
+    """A proof that ``certify_trace`` rejects the monic trace at ``root_pattern``, or None.
+
+    The proof is (x, q): Laguerre's inequality fails at x, so T is not
+    real-rooted and has no Salem pattern, and gcd(T mod q, T' mod q) = 1, so
+    T is separable and passes the check before it.
+    """
+    x = _laguerre_point(trace, roots, moving)
+    if x is None:
+        return None
+    q = separable_mod_prime(trace)
+    return None if q is None else (x, q)
+
+
 def search(
     n: int,
     t: int,
@@ -273,7 +361,10 @@ def search(
 ) -> SearchReport:
     """Sweep a over [a_min, a_max], certifying each candidate, until ``want`` certificates.
 
-    Every failure is recorded with its first failed check.  Deterministic:
+    Every failure is recorded with its first failed check.  Most candidates
+    that fail the root pattern are rejected by a one-point proof
+    (``_pattern_rejection``) without a Sturm chain; the rest go through
+    ``certify_trace``, with the same verdict either way.  Deterministic:
     identical inputs produce the identical report.  An empty result is a
     report, not an error.
     """
@@ -282,14 +373,21 @@ def search(
     if a_max < a_min:
         raise ValueError("a_max must be at least a_min")
     check_n(n)
+    check_t(t)
     check_precision(precision_digits)
     plan = plan_construction(n, t)
+    fixed_roots = _fixed_roots(plan)
     certificates: list[SalemCertificate] = []
     failures: list[tuple[int, str]] = []
     for a in range(a_min, a_max + 1):
         if len(certificates) >= want:
             break
         candidate = build_candidate(plan, a)
+        small, large = _quadratic_roots(_a_factor(plan.a_factor_shape, a), _PROBE_BITS)
+        roots = sorted(fixed_roots + [small, large])
+        if _pattern_rejection(candidate, roots, roots.index(small)) is not None:
+            failures.append((a, "root_pattern"))
+            continue
         try:
             cert = certify_trace(
                 candidate, n, construction=plan.construction, a=a, precision_digits=precision_digits

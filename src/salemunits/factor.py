@@ -22,6 +22,7 @@ from .intpoly import IntPoly, gcd_over_rationals
 from .roots import is_separable, root_pattern
 
 _FILTER_PRIME_COUNT = 5
+SEPARABILITY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 KRONECKER = "kronecker-cyclotomic"
 
 
@@ -152,11 +153,29 @@ def _good_primes(p: IntPoly, count: int) -> list[int]:
     out: list[int] = []
     cand = 3
     while len(out) < count:
-        k = _Packed(int(p.degree), cand)
-        if _is_prime(cand) and k.gcd(k.pack(p.coeffs), k.pack(dp.coeffs)) == 1:
+        if _is_prime(cand) and _coprime_mod(p, dp, cand):
             out.append(cand)
         cand += 2
     return out
+
+
+def _coprime_mod(a: IntPoly, b: IntPoly, q: int) -> bool:
+    """gcd(a mod q, b mod q) = 1, for deg b <= deg a.
+
+    For monic a and b = a', that proves a squarefree over Q: a repeated factor
+    of a would be monic in Z[x] (Gauss's lemma) and divide both mod q.
+    """
+    k = _Packed(int(a.degree), q)
+    return k.gcd(k.pack(a.coeffs), k.pack(b.coeffs)) == 1
+
+
+def separable_mod_prime(p: IntPoly) -> Optional[int]:
+    """The first prime q of SEPARABILITY_PRIMES with gcd(p mod q, p' mod q) = 1, or None.
+
+    For monic p of degree at least 1, such a q proves p separable.
+    """
+    dp = p.derivative()
+    return next((q for q in SEPARABILITY_PRIMES if _coprime_mod(p, dp, q)), None)
 
 
 def _is_prime(n: int) -> bool:

@@ -82,6 +82,31 @@ def _value_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
     return acc
 
 
+def _laguerre_fails(f: tuple[int, ...], d1: tuple[int, ...], d2: tuple[int, ...], num: int, den: int) -> bool:
+    """(t-1) f'(x)^2 < t f(x) f''(x) at x = num/den, t = deg f >= 2, with d1 = f' and d2 = f''.
+
+    The homogenized values scale both sides by den^(2t-2), so the sign is exact.
+    """
+    t = len(f) - 1
+    v1 = _value_at(d1, num, den)
+    return (t - 1) * v1 * v1 < t * _value_at(f, num, den) * _value_at(d2, num, den)
+
+
+def laguerre_fails(p: IntPoly, x) -> bool:
+    """True when Laguerre's inequality (t-1) p'(x)^2 - t p(x) p''(x) >= 0 fails at x; t = deg p.
+
+    The inequality holds on all of R for every real-rooted p (Polya & Szego,
+    *Problems and Theorems in Analysis II*, Part V), so a failure at one
+    rational x proves p has a non-real root.  It fails near every negative
+    local maximum and every positive local minimum.
+    """
+    if p.is_zero or p.degree < 2:
+        return False
+    x = Fraction(x)
+    d1 = p.derivative()
+    return _laguerre_fails(p.coeffs, d1.coeffs, d1.derivative().coeffs, x.numerator, x.denominator)
+
+
 def _variations(values: list[int]) -> int:
     """Sign changes along a sequence, zeros skipped."""
     signs = [v > 0 for v in values if v]

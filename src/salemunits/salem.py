@@ -36,6 +36,9 @@ MAX_PRECISION = 4000
 # the exponent n in alpha^n - 1; unit_check's cost grows with n, see the
 # measured cost in the CLI help
 MAX_N = 10_000
+# the trace degree t of a search; one candidate's Sturm chain grows fast with
+# t, see the measured cost in the CLI help
+MAX_T = 301
 
 
 class CertificationError(Exception):
@@ -150,6 +153,12 @@ def check_n(n: int) -> None:
     """Raise ValueError unless 1 <= n <= MAX_N."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be between 1 and {MAX_N} (got {n})")
+
+
+def check_t(t: int) -> None:
+    """Raise ValueError unless 1 <= t <= MAX_T."""
+    if not 1 <= t <= MAX_T:
+        raise ValueError(f"t must be between 1 and {MAX_T} (got {t})")
 
 
 def check_precision(digits: int) -> None:

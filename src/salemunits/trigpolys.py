@@ -22,9 +22,12 @@ _EPSILON_BY_K_MOD_6 = {0: 0, 1: 1, 2: 2, 3: 3, 4: -2, 5: 5}
 def cheb(k: int) -> IntPoly:
     """Monic Chebyshev-style polynomial of degree k.
 
-    Defined by the recurrence p_{k+2} = x*p_{k+1} - p_k seeded with p_1 = x,
-    p_2 = x^2 - 2.  For k = 0 the constant 1 is returned (empty product
-    convention: the recurrence is never extended below k = 1).
+    The polynomials of the recurrence p_{k+2} = x*p_{k+1} - p_k seeded with
+    p_1 = x, p_2 = x^2 - 2 (Dickson polynomials D_k(x, 1)), built coefficient
+    by coefficient from x^k down: the coefficient of x^(k-2j) is
+    (-1)^j k/(k-j) C(k-j, j), and consecutive ones differ by the factor
+    -(k-2j)(k-2j-1) / ((j+1)(k-j-1)).  For k = 0 the constant 1 is returned
+    (empty product convention: the recurrence is never extended below k = 1).
 
     >>> cheb(3)
     IntPoly('x^3 - 3x')
@@ -33,12 +36,13 @@ def cheb(k: int) -> IntPoly:
         raise ValueError("index must be nonnegative")
     if k == 0:
         return IntPoly([1])
-    if k == 1:
-        return IntPoly([0, 1])
-    if k == 2:
-        return IntPoly([-2, 0, 1])
-    a, b = cheb(k - 2), cheb(k - 1)
-    return IntPoly([0, 1]) * b - a
+    out = [0] * (k + 1)
+    c = 1
+    for j in range(k // 2 + 1):
+        out[k - 2 * j] = c
+        if 2 * j + 2 <= k:
+            c = -c * (k - 2 * j) * (k - 2 * j - 1) // ((j + 1) * (k - j - 1))
+    return IntPoly(out)
 
 
 def extract_trace(p: IntPoly) -> IntPoly:
@@ -85,6 +89,70 @@ def cyclo_trace(n: int) -> IntPoly:
     else:
         u = IntPoly([c for j in range(n // 2) for c in (1, 0)][:-1])  # 1 + x^2 + ... + x^(n-2)
     return extract_trace(u)
+
+
+def _pi_fixed(w: int) -> int:
+    """pi * 2^w within 2^(w.bit_length() + 5) units, by Machin's pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+
+    def arctan_inv(x: int) -> int:
+        total, power, k = 0, (1 << w) // x, 1
+        while power:
+            total += power // k if k % 4 == 1 else -(power // k)
+            power, k = power // (x * x), k + 2
+        return total
+
+    return 16 * arctan_inv(5) - 4 * arctan_inv(239)
+
+
+def _two_cos_pi_over(m: int, w: int) -> int:
+    """2cos(pi/m) * 2^w within a few units, by the Taylor series of cos on fixed-point integers."""
+    w2 = w + w.bit_length() + 16  # covers the error of pi and one unit a term
+    one = 1 << w2
+    theta_sq = (_pi_fixed(w2) // m) ** 2 >> w2
+    total = term = one
+    i = 0
+    while term:
+        i += 2
+        term = (term * theta_sq >> w2) // (i * (i - 1))
+        total += -term if i % 4 == 2 else term
+    return total >> (w2 - w - 1)
+
+
+def _two_cos_multiples(m: int, kmax: int, bits: int) -> list[int]:
+    """Nearest integers to 2cos(k pi/m) * 2^bits for k = 0..kmax <= m, each within 2^-bits once scaled.
+
+    Runs cheb's recurrence, as cheb(k)(2cos u) = 2cos(k u), on a fixed-point
+    2cos(pi/m).  An error e in it or in a step reaches step k at most
+    k min(k, 1/sin(pi/m)) e <= m^2 e, so m^2 in guard bits covers them all.
+    """
+    guard = 2 * m.bit_length() + 8
+    w = bits + guard
+    x = _two_cos_pi_over(m, w)
+    out = [2 << w, x]
+    while len(out) <= kmax:
+        out.append((x * out[-1] >> w) - out[-2])
+    half = 1 << (guard - 1)
+    return [(v + half) >> guard for v in out[: kmax + 1]]
+
+
+def cheb_roots_dyadic(k: int, bits: int) -> list[int]:
+    """Numerators over 2^bits of the roots 2cos((2j+1) pi / 2k), j = 0..k-1, of cheb(k), descending.
+
+    Each lies within 2^-bits of its root; integer arithmetic only.
+    """
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    return _two_cos_multiples(2 * k, 2 * k - 1, bits)[1::2] if k else []
+
+
+def cyclo_trace_roots_dyadic(n: int, bits: int) -> list[int]:
+    """Numerators over 2^bits of the roots 2cos(2j pi / n), j = 1..(n-1)//2, of cyclo_trace(n), descending.
+
+    Each lies within 2^-bits of its root; integer arithmetic only.
+    """
+    if n < 1:
+        raise ValueError("index must be positive")
+    return _two_cos_multiples(n, n - 1, bits)[2::2] if n >= 3 else []
 
 
 def cheb_roots_in_unit_interval(k: int) -> int:

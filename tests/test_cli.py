@@ -7,6 +7,7 @@ import pytest
 import salemunits.trigpolys as trigpolys
 from salemunits.cli import main
 from salemunits.intpoly import IntPoly
+from salemunits.salem import MAX_T
 
 
 def run(capsys, *argv):
@@ -228,6 +229,36 @@ class TestCertify:
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             assert "at most 10000" in " ".join(capsys.readouterr().out.split())
+
+
+class TestTBound:
+    def test_help_states_t_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        assert f"at most {MAX_T}" in " ".join(capsys.readouterr().out.split())
+
+    def test_search_t_over_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "12", "--t", str(MAX_T + 2))
+        assert code == 2 and out == ""
+        assert err.strip() == f"t must be between 1 and {MAX_T} (got {MAX_T + 2})"
+
+
+class TestDeepIndices:
+    """Indices past the recursion limit of a recursive cheb build."""
+
+    def test_plan_t_1001(self, capsys):
+        code, out, err = run(capsys, "plan", "--n", "12", "--t", "1001")
+        assert code == 0 and err == ""
+        assert out.startswith("quad-unit k=248\n")
+
+    def test_cheb_k_2000(self, capsys):
+        code, out, err = run(capsys, "cheb", "--k", "2000")
+        assert code == 0 and err == ""
+        assert out.strip().split(",")[-1] == "1" and len(out.strip().split(",")) == 2001
+
+    def test_search_t_1001_exits_2(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "12", "--t", "1001")
+        assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
 
 
 class TestSelftest:

@@ -1,8 +1,11 @@
 """Dispatcher table, builders against independent expansion, and the search sweep."""
 
+from fractions import Fraction
+
 import pytest
 import sympy
 
+from salemunits import construct
 from salemunits.construct import (
     LINEAR,
     QUAD_SHIFT,
@@ -16,8 +19,10 @@ from salemunits.construct import (
     search,
 )
 from salemunits.intpoly import ONE, IntPoly, resultant, lift_trace
-from salemunits.roots import sturm_count_open
-from salemunits.salem import MAX_N, MAX_PRECISION, certify_trace
+from salemunits import roots
+from salemunits.factor import SEPARABILITY_PRIMES
+from salemunits.roots import laguerre_fails, sturm_count, sturm_count_open
+from salemunits.salem import MAX_N, MAX_PRECISION, MAX_T, CertificationError, certify_trace
 from salemunits.trigpolys import cyclo_trace
 
 _x = sympy.Symbol("x")
@@ -231,6 +236,14 @@ class TestSearch:
             with pytest.raises(ValueError, match="n must be between"):
                 search(n, n // 2 + 3)
 
+    def test_t_bound(self):
+        # refused before planning; MAX_T + 2 is odd, and t = 10**30 + 1 has no feasible plan to build
+        assert MAX_T % 2 == 1
+        for t in (MAX_T + 2, 10**30 + 1):
+            with pytest.raises(ValueError, match="t must be between"):
+                search(12, t)
+        assert plan_construction(12, MAX_T + 2).t == MAX_T + 2
+
     def test_degree_one_cyclo_factor_family(self):
         # n = 4 has the degree-1 cyclotomic trace factor; the pipeline still
         # certifies degree-10 minimal polynomials
@@ -249,3 +262,64 @@ class TestSearch:
         with ThreadPoolExecutor(max_workers=6) as pool:
             par = list(pool.map(lambda a: certify_trace(build_candidate(plan, a), 12, a=a), a_values))
         assert [c.to_json_dict() for c in seq] == [c.to_json_dict() for c in par]
+
+
+class TestPatternPrecheck:
+    """search rejects most root-pattern failures by a Laguerre point and a prime, with the same report."""
+
+    @pytest.mark.parametrize("n,t", [(12, 9), (28, 23), (36, 25), (44, 31), (44, 35)])
+    def test_reports_byte_identical(self, n, t, monkeypatch):
+        with_check = search(n, t, want=5).to_json_dict()
+        monkeypatch.setattr(construct, "_pattern_rejection", lambda *args: None)
+        without = search(n, t, want=5).to_json_dict()
+        assert with_check == without
+
+    def test_plans_span_every_construction(self):
+        kinds = {plan_construction(n, t).construction for n, t in [(12, 9), (28, 23), (36, 25), (44, 31), (44, 35)]}
+        assert kinds == {QUAD_UNIT, QUAD_SHIFT, QUAD_SHIFT_GOLDEN, QUAD_SHIFT_GOLDEN_MIRROR}
+
+    def test_few_sturm_chains(self, monkeypatch):
+        built = []
+        init = roots.SturmChain.__init__
+
+        def counting(self, p):
+            built.append(p)
+            init(self, p)
+
+        monkeypatch.setattr(roots.SturmChain, "__init__", counting)
+        report = search(92, 61, 3, 110, 5)
+        assert len(report.failures) == 108 and not report.certificates
+        assert len(built) <= 108 // 10
+
+    def test_every_proof_checks(self):
+        # each rejection the pre-check makes is a Laguerre point and a prime, and certify_trace agrees
+        plan = plan_construction(44, 31)
+        fixed = construct._fixed_roots(plan)
+        proved = 0
+        for a in range(3, 40):
+            trace = build_candidate(plan, a)
+            small, large = construct._quadratic_roots(construct._a_factor(plan.a_factor_shape, a), construct._PROBE_BITS)
+            approx = sorted(fixed + [small, large])
+            proof = construct._pattern_rejection(trace, approx, approx.index(small))
+            if proof is None:
+                continue
+            proved += 1
+            x, q = proof
+            assert laguerre_fails(trace, x) and q in SEPARABILITY_PRIMES
+            with pytest.raises(CertificationError) as err:
+                certify_trace(build_candidate(plan, a), 44)
+            assert err.value.check == "root_pattern"
+        assert proved == 26  # every a below 29
+
+    def test_fixed_roots_match_factors(self):
+        for n, t in [(4, 7), (12, 9), (28, 23), (36, 25), (44, 31), (44, 35), (92, 61), (124, 71)]:
+            plan = plan_construction(n, t)
+            fixed = sorted(construct._fixed_roots(plan))
+            den = 1 << construct._PROBE_BITS
+            product = ONE
+            for f in plan.factors:
+                product = product * f
+            # each approximation is within 2^-bits of a root of the product, and they are distinct
+            assert len(set(fixed)) == len(fixed) == product.degree
+            for x in fixed:
+                assert sturm_count(product, Fraction(x - 1, den), Fraction(x + 1, den)) >= 1

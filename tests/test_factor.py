@@ -12,6 +12,7 @@ from sympy.polys.galoistools import gf_gcd, gf_mul, gf_strip
 from salemunits.construct import build_candidate, plan_construction
 from salemunits.factor import (
     KRONECKER,
+    SEPARABILITY_PRIMES,
     IrreducibilityWitness,
     _degree_multiset,
     _good_primes,
@@ -20,6 +21,7 @@ from salemunits.factor import (
     _Packed,
     _zassenhaus,
     is_irreducible,
+    separable_mod_prime,
     verify_witness,
 )
 from salemunits.intpoly import IntPoly, resultant
@@ -359,3 +361,28 @@ class TestGoodPrimes:
         expected = _old_good_primes(p, 5)
         assume(len(expected) == 5)
         assert _good_primes(p, 5) == expected
+
+
+class TestSeparableModPrime:
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=9), st.integers(-6, 6), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_sound_on_monic(self, low, r, square):
+        p = IntPoly(low + [1])
+        if square:
+            p = p * IntPoly([-r, 1]) ** 2  # a repeated root: no prime may be returned
+        q = separable_mod_prime(p)
+        if square:
+            assert q is None
+        if q is not None:
+            assert q in SEPARABILITY_PRIMES and is_separable(p)
+            assert resultant(p, p.derivative()) % q != 0
+
+    def test_first_good_prime(self):
+        # (x - 1)(x - 4)(x - 7) has disc divisible by 3 only among the listed primes below 5
+        p = IntPoly([-1, 1]) * IntPoly([-4, 1]) * IntPoly([-7, 1])
+        assert separable_mod_prime(p) == 5
+        # every listed prime divides the discriminant of (x - 1)(x - 1 - prod)
+        prod = 1
+        for q in SEPARABILITY_PRIMES:
+            prod *= q
+        assert separable_mod_prime(IntPoly([-1, 1]) * IntPoly([-1 - prod, 1])) is None

@@ -25,6 +25,7 @@ from salemunits.roots import (
     cauchy_bound,
     is_separable,
     isolate_roots,
+    laguerre_fails,
     refine,
     root_pattern,
     sturm_count,
@@ -310,6 +311,33 @@ class TestRootPattern:
 
     def test_unit_interval_field(self):
         assert root_pattern(cyclo_trace(28)).in_0_1 == 2
+
+
+class TestLaguerre:
+    def test_fires_off_the_real_line(self):
+        assert laguerre_fails(IntPoly([1, 0, 1]), 0)  # x^2 + 1
+        # (x^2 - 4)(x^2 - 1) - 10 has a negative local maximum at 0
+        assert laguerre_fails(IntPoly([-4, 0, 1]) * IntPoly([-1, 0, 1]) - 10, 0)
+        assert not laguerre_fails(IntPoly([-4, 0, 1]) * IntPoly([-1, 0, 1]) - 1, 0)
+
+    def test_low_degree_never_fires(self):
+        for p in (IntPoly(), IntPoly([5]), IntPoly([3, -7])):
+            assert not laguerre_fails(p, Fraction(1, 3))
+
+    @given(
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 6)), min_size=2, max_size=9),
+        st.integers(-5, 5),
+        st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=1000), min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_never_fires_on_real_rooted(self, factors, scale, points):
+        # products of linear factors (d x - c), repeated roots allowed, times a nonzero integer
+        assume(scale != 0)
+        p = IntPoly([scale])
+        for c, d in factors:
+            p = p * IntPoly([-c, d])
+        for x in points + [Fraction(c, d) for c, d in factors]:
+            assert not laguerre_fails(p, x)
 
 
 class TestChainSharing:

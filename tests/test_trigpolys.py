@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from salemunits.intpoly import ONE, IntPoly, gcd_over_rationals, lift_trace
 from salemunits.roots import sturm_count_open
+from salemunits.roots import _value_at
 from salemunits.trigpolys import (
     cheb,
+    cheb_roots_dyadic,
     cheb_roots_in_unit_interval,
     cyclo_trace,
+    cyclo_trace_roots_dyadic,
     cyclo_trace_roots_in_unit_interval,
     extract_trace,
 )
@@ -42,6 +45,20 @@ class TestCheb:
         with pytest.raises(ValueError):
             cheb(-1)
 
+    def test_matches_recurrence(self):
+        # the coefficient formula gives the polynomials of p_{k+2} = x p_{k+1} - p_k
+        seq = [ONE, IntPoly([0, 1]), IntPoly([-2, 0, 1])]
+        while len(seq) <= 300:
+            seq.append(IntPoly([0, 1]) * seq[-1] - seq[-2])
+        for k, p in enumerate(seq):
+            assert cheb(k).coeffs == p.coeffs, k
+
+    def test_large_index(self):
+        # deep indices once overflowed the recursion limit of a recursive build
+        p = cheb(3000)
+        assert p.is_monic and p.degree == 3000 and p.coeffs[-3] == -3000
+        assert p.coeffs[0] == 2 and p.coeffs[2] == -(3000**2) // 4  # 2cos(3000 u), u near pi/2
+
 
 class TestCycloTrace:
     def test_small_values(self):
@@ -70,6 +87,43 @@ class TestCycloTrace:
     def test_index_error(self):
         with pytest.raises(ValueError):
             cyclo_trace(0)
+
+
+def _sign_change_around(p: IntPoly, num: int, bits: int) -> bool:
+    """p changes sign strictly across [x - 2^-(bits-2), x + 2^-(bits-2)], x = num / 2^bits."""
+    den = 1 << bits
+    return _value_at(p.coeffs, num - 4, den) * _value_at(p.coeffs, num + 4, den) < 0
+
+
+class TestDyadicRoots:
+    @pytest.mark.parametrize("bits", [16, 32, 48])
+    def test_cheb(self, bits):
+        for k in range(0, 61):
+            approx = cheb_roots_dyadic(k, bits)
+            assert len(approx) == k and approx == sorted(approx, reverse=True)
+            assert all(_sign_change_around(cheb(k), x, bits) for x in approx), k
+
+    @pytest.mark.parametrize("bits", [16, 32, 48])
+    def test_cyclo_trace(self, bits):
+        for n in range(1, 131):
+            approx = cyclo_trace_roots_dyadic(n, bits)
+            assert len(approx) == max(int(cyclo_trace(n).degree), 0)
+            assert approx == sorted(approx, reverse=True)
+            assert all(_sign_change_around(cyclo_trace(n), x, bits) for x in approx), n
+
+    def test_against_cosines(self):
+        # floating oracle: within 2^-bits of the closed form, for an index past the exact check
+        bits = 40
+        for j, x in enumerate(cheb_roots_dyadic(500, bits)):
+            assert abs(x / 2**bits - 2 * math.cos((2 * j + 1) * math.pi / 1000)) < 2e-12
+        for j, x in enumerate(cyclo_trace_roots_dyadic(1001, bits), start=1):
+            assert abs(x / 2**bits - 2 * math.cos(2 * j * math.pi / 1001)) < 2e-12
+
+    def test_index_errors(self):
+        with pytest.raises(ValueError):
+            cheb_roots_dyadic(-1, 32)
+        with pytest.raises(ValueError):
+            cyclo_trace_roots_dyadic(0, 32)
 
 
 class TestExtractTrace:
