@@ -203,7 +203,7 @@ def _cmd_certify(args) -> int:
         return EXIT_USAGE
     try:
         poly = _read_poly(args.poly)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -216,6 +216,10 @@ def _cmd_certify(args) -> int:
     if kind == "auto":
         even = not poly.is_zero and int(poly.degree) % 2 == 0
         kind = "min" if even and is_reciprocal(poly) else "trace"
+    limit = 2 * MAX_T if kind == "min" else MAX_T
+    if not poly.is_zero and poly.degree > limit:
+        print(f"a {kind} polynomial must have degree at most {limit} (got {int(poly.degree)})", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if kind == "min":
             cert = certify_min_poly(poly, args.n, precision_digits=args.precision)
@@ -350,6 +354,13 @@ T_HELP = (
 )
 
 
+POLY_HELP = (
+    f"inline coefficients c0,c1,... or a file path: a trace of degree at most {MAX_T}, or a minimal"
+    f" polynomial of degree at most {2 * MAX_T}; larger ones exit 2. A degree-{MAX_T} trace, or its"
+    " lift, takes 5-6 s; a degree-401 Sturm chain alone takes 11 s (2-core x86-64, Python 3.11)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="salemunits",
@@ -382,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("certify", help="certify a trace or reciprocal minimal polynomial")
-    p.add_argument("poly", nargs="?", default=None, help="inline coefficients c0,c1,... or a file path")
+    p.add_argument("poly", nargs="?", default=None, help=POLY_HELP)
     p.add_argument("--n", type=_positive_int, default=None, help=N_HELP)
     p.add_argument("--as", dest="kind", choices=("auto", "trace", "min"), default="auto")
     p.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION, help=PRECISION_HELP)

@@ -49,6 +49,9 @@ SHAPE_QUAD_SHIFT = "x^2-a*x+(a-2)"
 _GOLDEN = IntPoly([-1, 1, 1])  # x^2 + x - 1, roots (-1 +/- sqrt(5))/2
 _GOLDEN_MIRROR = IntPoly([-1, -1, 1])  # x^2 - x - 1, its mirror image
 _XX_MINUS_4 = IntPoly([-4, 0, 1])
+# construction -> (the parity of l = (2t - n - 6)/4 that selects it, its extra fixed factors)
+_L_PARITY_AND_EXTRA = {QUAD_UNIT: (0, ()), QUAD_SHIFT: (1, ()), QUAD_SHIFT_GOLDEN: (1, (_GOLDEN,))}
+_L_PARITY_AND_EXTRA[QUAD_SHIFT_GOLDEN_MIRROR] = (1, (_GOLDEN_MIRROR,))
 
 # The root-pattern pre-check of ``search``: roots of P approximated on the grid
 # 2^-_PROBE_BITS; _PROBE_ARCHES positive arches of P probed (the one at the
@@ -292,15 +295,36 @@ def _quadratic_roots(f: IntPoly, bits: int) -> list[int]:
     return [((-b << bits) - s) >> 1, ((-b << bits) + s) >> 1]
 
 
-def _fixed_roots(plan: ConstructionPlan) -> list[int]:
-    """Numerators over 2^_PROBE_BITS of the roots of the plan's fixed factors, from their closed forms."""
-    m = 2 + 4 * plan.k if plan.construction == QUAD_SHIFT else 4 * plan.k
-    roots = cyclo_trace_roots_dyadic(plan.n, _PROBE_BITS) + cheb_roots_dyadic(m, _PROBE_BITS)
-    for f in plan.factors[1:-1]:  # x^2 - 4 and the golden quadratic
+def _fixed_roots(construction: str, n: int, t: int) -> Optional[list[int]]:
+    """Numerators over 2^_PROBE_BITS of the roots of the plan's fixed factors, from their closed forms.
+
+    None, before any root is computed, when (n, t) fails the plan's hypotheses
+    or t = 3 + n/2 + 2l with l of the wrong parity for the construction.
+    """
+    l = (2 * t - n - 6) // 4
+    parity, extra = _L_PARITY_AND_EXTRA.get(construction, (None, ()))
+    if n < 1 or n % 8 != 4 or n % 5 == 0 or t % 2 == 0 or l < 0 or l % 2 != parity:
+        return None
+    roots = cyclo_trace_roots_dyadic(n, _PROBE_BITS) + cheb_roots_dyadic(2 * l - 2 * len(extra), _PROBE_BITS)
+    for f in (_XX_MINUS_4, *extra):
         roots += _quadratic_roots(f, _PROBE_BITS)
-    if len(roots) != sum(int(f.degree) for f in plan.factors):
-        raise RuntimeError(f"closed-form roots do not match the factors of the {plan.construction} plan")
     return roots
+
+
+def interlacing_points(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int]]:
+    """(numerators, denominator) of points meant to separate the t roots of the candidate T = P - 1, or None.
+
+    They are the midpoints of consecutive closed-form roots of P = F A_a, and
+    one point past each end: T has a root on each side of an arch of P that
+    peaks above 1.  They are hints; ``root_pattern`` proves what they show.
+    """
+    fixed = None if a is None or a < 3 else _fixed_roots(construction, n, t)
+    if fixed is None:
+        return None
+    shape = SHAPE_QUAD_UNIT if construction == QUAD_UNIT else SHAPE_QUAD_SHIFT
+    r = sorted(fixed + _quadratic_roots(_a_factor(shape, a), _PROBE_BITS))  # t roots, by the factors' degrees
+    one = 2 << _PROBE_BITS
+    return [2 * r[0] - one, *(x + y for x, y in zip(r, r[1:])), 2 * r[-1] + one], one
 
 
 def _laguerre_point(trace: IntPoly, roots: list[int], moving: int) -> Optional[Fraction]:
@@ -376,7 +400,7 @@ def search(
     check_t(t)
     check_precision(precision_digits)
     plan = plan_construction(n, t)
-    fixed_roots = _fixed_roots(plan)
+    fixed_roots = _fixed_roots(plan.construction, n, t)
     certificates: list[SalemCertificate] = []
     failures: list[tuple[int, str]] = []
     for a in range(a_min, a_max + 1):
@@ -395,8 +419,8 @@ def search(
         except CertificationError as err:
             failures.append((a, err.check))
             continue
-        # certified candidates must have their single root above 2 inside (a-1, a)
-        if sturm_count_open(candidate, a - 1, a) != 1:
+        # certified candidates must have their single root above 2 inside (a-1, a), a - 1 >= 2
+        if _value_at(candidate.coeffs, a - 1, 1) * _value_at(candidate.coeffs, a, 1) >= 0:
             raise RuntimeError(f"certified candidate for a={a} has its large root outside (a-1, a)")
         certificates.append(cert)
     return SearchReport(

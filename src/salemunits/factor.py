@@ -256,7 +256,8 @@ def is_irreducible(p: IntPoly) -> IrreducibilityWitness:
         raise ValueError("need a polynomial of degree at least 1")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    if p.degree > 1 and not is_separable(p):
+    # a prime q with gcd(p mod q, p' mod q) = 1 proves it without a Sturm chain
+    if p.degree > 1 and separable_mod_prime(p) is None and not is_separable(p):
         raise ValueError("polynomial must be squarefree")
     deg = int(p.degree)
     primes = _good_primes(p, _FILTER_PRIME_COUNT)

@@ -6,7 +6,8 @@ sequence of (f, f') from the one kernel in ``intpoly``: each step divides by a
 known exact divisor instead of taking a content gcd, and each element is
 signed so the sequence is a genuine Sturm chain.  Each polynomial object
 builds its chain once, on first use, and separability, the root pattern,
-counting, isolation and refinement all read that one chain.
+counting and isolation read that one chain, unless sign changes at given
+points prove the pattern, or at an interval's ends isolate a root to refine.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .intpoly import IntPoly, subresultant_prs
 
@@ -256,22 +257,22 @@ def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
         return iv
     if width <= 0:
         raise ValueError("width must be positive")
-    chain = _chain(p)
     lo, hi = iv.lo, iv.hi
-    coeffs = chain.squarefree
+    # the chain's squarefree part is needed only without a strict sign change of p
+    coeffs = p.coeffs if _sign_at(p.coeffs, lo) * _sign_at(p.coeffs, hi) < 0 else _chain(p).squarefree
     slo, shi = _sign_at(coeffs, lo), _sign_at(coeffs, hi)
     if shi == 0:
         return _exact(hi)
     # establish a strict sign change, bisecting by Sturm counts until then;
     # that needs exactly one root in (lo, hi], or the bisection never ends
-    if slo * shi >= 0 and chain.count(lo, hi) != 1:
+    if slo * shi >= 0 and _chain(p).count(lo, hi) != 1:
         raise ValueError("interval does not isolate a root")
     while slo * shi >= 0:
         mid = (lo + hi) / 2
         smid = _sign_at(coeffs, mid)
         if smid == 0:
             return _exact(mid)
-        if chain.count(lo, mid) == 1:
+        if _chain(p).count(lo, mid) == 1:
             hi, shi = mid, smid
         else:
             lo, slo = mid, smid
@@ -343,16 +344,43 @@ def _refine_on_grid(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, levels:
     return IsolatingInterval(point(j, k), point(j + 1, k))
 
 
-def root_pattern(p: IntPoly) -> RootPattern:
+def _interlacing_pattern(f: tuple[int, ...], nums: Sequence[int], den: int) -> Optional[RootPattern]:
+    """The pattern of f, of degree t >= 1, from t sign changes across the points num/den; else None.
+
+    The marks -2, 0, 1 and 2 join the points, and f must be nonzero at each.
+    Each change, from the sign at -inf on, puts a root in its gap, so t of
+    them prove t simple real roots, whatever the points; the marks split them.
+    """
+    t = len(f) - 1
+    upto, changes, prev = {}, 0, f[-1] if t % 2 == 0 else -f[-1]
+    marks = (-2 * den, 0, den, 2 * den)
+    for x in sorted({*nums, *marks}):
+        v = _value_at(f, x, den)
+        if v == 0:
+            return None
+        changes += (v > 0) != (prev > 0)
+        upto[x], prev = changes, v
+    if changes != t:
+        return None
+    below, c0, c1, c2 = (upto[x] for x in marks)
+    return RootPattern(below, 0, c2 - below, 0, t - c2, c1 - c0, True)
+
+
+def root_pattern(p: IntPoly, points: Optional[tuple[Sequence[int], int]] = None) -> RootPattern:
     """Classify all distinct real roots of p against the marks -2, 0, 1, 2.
 
-    The chain is read once at each mark: at -inf and +inf from its leading
+    When p changes sign strictly across the hints ``points`` = (numerators,
+    denominator), that proves the pattern (``_interlacing_pattern``).  Else the
+    chain is read once at each mark: at -inf and +inf from its leading
     coefficients, and at -2, 0, 1 and 2 by integer evaluation.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return RootPattern(0, 0, 0, 0, 0, 0, True)
+    pattern = None if points is None else _interlacing_pattern(p.coeffs, *points)
+    if pattern is not None:
+        return pattern
     chain = _chain(p)
     f = chain.squarefree
     at_neg2 = 1 if _value_at(f, -2, 1) == 0 else 0

@@ -16,7 +16,8 @@ from typing import Optional
 
 from .factor import IrreducibilityWitness, is_irreducible, verify_witness
 from .intpoly import ONE, X, IntPoly, is_reciprocal, lift_trace, pseudo_rem, resultant
-from .roots import (
+# is_separable and isolate_roots stay bound here: the benchmark tracer times stages by these names
+from .roots import (  # noqa: F401
     IsolatingInterval,
     RootPattern,
     _sign_at,
@@ -25,7 +26,6 @@ from .roots import (
     isolate_roots,
     refine,
     root_pattern,
-    sturm_count,
 )
 from .trigpolys import extract_trace
 
@@ -99,9 +99,11 @@ class SalemCertificate:
             ints = [d["n"], d["t"], d["alpha_precision"], d["resultant"]]
             if any(type(v) is not int for v in ints) or type(d.get("a", 0)) not in (int, type(None)):
                 raise TypeError("n, t, a, alpha_precision and resultant must be integers")
+            if type(d["construction"]) is not str:
+                raise TypeError("construction must be a string")
             rp = d["root_pattern"]
-            lo = Fraction(d["beta_interval"]["lo"])
-            hi = Fraction(d["beta_interval"]["hi"])
+            # "p/q" or "p" only: Fraction("1e999999999") would build a 3.3-gigabit integer
+            lo, hi = (Fraction(*map(int, d["beta_interval"][end].split("/"))) for end in ("lo", "hi"))
             return cls(
                 n=d["n"],
                 t=d["t"],
@@ -147,6 +149,14 @@ def unit_check(s_poly: IntPoly, n: int) -> int:
             r = pseudo_rem(r, s_poly)  # the exact remainder, as S is monic
     r = r - 1
     return 0 if r.is_zero else resultant(r, s_poly)
+
+
+def _resultant_error(n: int, res: int) -> CertificationError:
+    try:
+        text = str(abs(res))
+    except ValueError:  # past Python's limit on integer-to-string conversion
+        text = f"a {abs(res).bit_length()}-bit integer"
+    return CertificationError("resultant", f"|Res(x^{n} - 1, S)| = {text} != 1", {"value": res})
 
 
 def check_n(n: int) -> None:
@@ -257,7 +267,11 @@ def certify_trace(
 
     Check order: monic/degree gates, separability, root pattern,
     irreducibility, reciprocal lift, unit resultant.  All arithmetic is exact.
+    The pattern of a constructed candidate, and with it separability, is
+    proved by interlacing sign changes, with no Sturm chain.
     """
+    from .construct import interlacing_points  # construct imports this module
+
     check_n(n)
     check_precision(precision_digits)
     if trace.is_zero or not trace.is_monic:
@@ -268,10 +282,9 @@ def certify_trace(
             "degree", f"trace degree {t} < 2; a Salem minimal polynomial has degree 2t >= 4"
         )
 
-    if not is_separable(trace):
+    pattern = root_pattern(trace, interlacing_points(construction, n, t, a))
+    if not pattern.separable:
         raise CertificationError("separability", "trace polynomial has a repeated root")
-
-    pattern = root_pattern(trace)
     if not pattern.is_salem(t):
         raise CertificationError(
             "root_pattern",
@@ -293,16 +306,11 @@ def certify_trace(
 
     res = unit_check(s_poly, n)
     if abs(res) != 1:
-        raise CertificationError(
-            "resultant",
-            f"|Res(x^{n} - 1, S)| = {abs(res)} != 1",
-            {"value": res},
-        )
+        raise _resultant_error(n, res)
 
-    bound = cauchy_bound(trace) + 1
-    intervals = isolate_roots(trace, Fraction(2), bound)
-    assert len(intervals) == 1, "root pattern guaranteed exactly one root above 2"
-    beta_iv = refine(intervals[0], trace, Fraction(1, 10 ** (precision_digits + 4)))
+    # the pattern puts exactly one root in (2, bound], and T(2) < 0 < T(bound)
+    beta_iv = IsolatingInterval(Fraction(2), cauchy_bound(trace) + 1)
+    beta_iv = refine(beta_iv, trace, Fraction(1, 10 ** (precision_digits + 4)))
     alpha_dec, _ = alpha_from_beta(beta_iv, precision_digits, trace)
 
     return SalemCertificate(
@@ -343,9 +351,7 @@ def certify_min_poly(
         raise CertificationError("reciprocal", "not reciprocal")
     res = unit_check(s_poly, n)
     if abs(res) != 1:
-        raise CertificationError(
-            "resultant", f"|Res(x^{n} - 1, S)| = {abs(res)} != 1", {"value": res}
-        )
+        raise _resultant_error(n, res)
     trace = extract_trace(s_poly)
     return certify_trace(
         trace, n, construction=construction, a=a, precision_digits=precision_digits
@@ -358,15 +364,20 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     Pattern, lift and resultant are recomputed from the stored trace
     polynomial; the irreducibility witness is replayed from its detail; the
     beta interval is checked to bracket the one root above 2, by a sign change
-    of T, inside (a-1, a) when the construction parameter is recorded.
+    of T, and to lie in (a-1, a), by one there, when a is recorded.  A
+    constructed candidate's pattern is proved at points recomputed from its
+    construction, n, t and a; they are hints, so a forged field can only send
+    the replay to the Sturm chain, as an external trace goes.
     """
+    from .construct import interlacing_points  # construct imports this module
+
     failures: list[str] = []
     trace, n, t = cert.trace_poly, cert.n, cert.t
     if trace.is_zero or not trace.is_monic or int(trace.degree) != t or t < 2:
         return ["degree"]
     if lift_trace(trace, t) != cert.min_poly or not is_reciprocal(cert.min_poly):
         failures.append("lift")
-    pattern = root_pattern(trace)
+    pattern = root_pattern(trace, interlacing_points(cert.construction, n, t, cert.a))
     if pattern != cert.root_pattern or not pattern.is_salem(t):
         failures.append("root_pattern")
     if cert.irreducibility.verdict != "irreducible" or not verify_witness(trace, cert.irreducibility):
@@ -400,7 +411,8 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
                 alpha_dec, _ = alpha_from_beta(iv, cert.alpha_precision, trace)
                 if alpha_dec != cert.alpha_decimal:
                     failures.append("alpha")
-        if cert.a is not None and not (cert.a - 1 <= iv.lo and iv.hi <= cert.a):
-            if sturm_count(trace, Fraction(cert.a - 1), Fraction(cert.a)) != 1:
-                failures.append("beta_location")
+        # with the pattern, a root in (a-1, a), a - 1 >= 2, is the one above 2
+        a, f = cert.a, trace.coeffs
+        if a is not None and (a < 3 or _sign_at(f, Fraction(a - 1)) * _sign_at(f, Fraction(a)) >= 0):
+            failures.append("beta_location")
     return failures

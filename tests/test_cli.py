@@ -1,11 +1,15 @@
 """Command-line contract: outputs, exit codes, report replay, self-test determinism."""
 
 import json
+import signal
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import salemunits.trigpolys as trigpolys
 from salemunits.cli import main
+from salemunits.construct import search
 from salemunits.intpoly import IntPoly
 from salemunits.salem import MAX_T
 
@@ -137,6 +141,28 @@ class TestCertify:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_from_report_exponent_in_interval_exits_2(self, capsys, tmp_path, end):
+        # Fraction("1e999999999") would build a 3.3-gigabit integer; only "p/q" and "p" are read
+        path = tmp_path / "report.json"
+        run(capsys, "search", "--n", "12", "--t", "9", "--want", "1", "--output", str(path))
+        payload = json.loads(path.read_text())
+        payload["certificates"][0]["beta_interval"][end] = "1e999999999"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "certify", "--from-report", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_resultant_past_the_integer_string_limit(self, capsys):
+        # |Res(x^10000 - 1, S)| has more than 4300 digits: the message gives its bit size
+        code, out, err = run(capsys, "certify", "23,-4,-6,1", "--n", "10000")
+        assert code == 5 and out == ""
+        assert len(err.splitlines()) == 1 and "-bit integer != 1" in err
+
+    def test_poly_path_is_a_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "certify", str(tmp_path), "--n", "12")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+
     def test_from_report_one_tampered_certificate(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         run(capsys, "search", "--n", "12", "--t", "9", "--want", "2", "--output", str(path))
@@ -241,6 +267,135 @@ class TestTBound:
         code, out, err = run(capsys, "search", "--n", "12", "--t", str(MAX_T + 2))
         assert code == 2 and out == ""
         assert err.strip() == f"t must be between 1 and {MAX_T} (got {MAX_T + 2})"
+
+
+class TestCertifyDegreeBound:
+    def test_help_states_degree_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["certify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"degree at most {MAX_T}" in text and f"at most {2 * MAX_T}" in text and " s " in text
+
+    @pytest.mark.parametrize(
+        "coeffs, kind",
+        [
+            ([1] + [0] * MAX_T + [1], "trace"),  # x^(MAX_T + 1) + 1
+            ([1] + [0] * (2 * MAX_T + 1) + [1], "min"),  # reciprocal, degree 2 MAX_T + 2
+            ([1] + [0] * (2 * MAX_T + 1) + [1], "auto"),
+        ],
+    )
+    def test_over_bound_exits_2(self, capsys, tmp_path, coeffs, kind):
+        path = tmp_path / "poly.txt"
+        path.write_text(",".join(map(str, coeffs)))
+        code, out, err = run(capsys, "certify", str(path), "--n", "12", "--as", kind)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and f"degree at most {2 * MAX_T if kind != 'trace' else MAX_T}" in err
+
+    def test_at_bound_reaches_certification(self, capsys, tmp_path):
+        # x^MAX_T + 1 passes the bound and is rejected by a check, quickly
+        trace = IntPoly([1] + [0] * (MAX_T - 1) + [1])
+        path = tmp_path / "poly.txt"
+        path.write_text(trace.to_text())
+        code, _, err = run(capsys, "certify", str(path), "--n", "12", "--as", "trace")
+        assert code == 5 and "rejected at check" in err
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("a CLI call ran past its time limit")
+
+
+def _cli_outcome(capsys, argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process CLI call, within 10 s; an exception escapes the test."""
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    return code, capsys.readouterr().err
+
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([10**4, 10**4 + 1, 4000, 4001, 10**40]),
+    st.text("0123456789-+e_. x", max_size=6),
+)
+_POLY_TEXT = st.one_of(
+    st.sampled_from(["", "0", "0,0", ",", " ", ".", "1,,2", "1;2", "x^2+1", "1e3,1", "9" * 5000, "23,-4,-6,1"]),
+    st.lists(st.integers(-20, 20), max_size=14).map(lambda cs: ",".join(map(str, cs))),
+    st.text("0123456789,-+ x^*e./\n", max_size=30),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8) | st.sampled_from(["1e999999999", "1/0", "3/2"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def report_text() -> str:
+    return json.dumps(search(12, 9, want=1).to_json_dict())
+
+
+@st.composite
+def _corrupt_reports(draw, text: str) -> str:
+    how = draw(st.sampled_from(["truncate", "flip", "field", "json"]))
+    if how == "truncate":
+        return text[: draw(st.integers(0, len(text)))]
+    if how == "flip":
+        i = draw(st.integers(0, len(text) - 1))
+        return text[:i] + draw(st.characters(codec="utf-8")) + text[i + 1 :]
+    if how == "json":
+        return json.dumps(draw(_JSON))
+    payload = json.loads(text)
+    cert = payload["certificates"][0]
+    path = draw(st.sampled_from(sorted(cert) + ["beta_interval.lo", "beta_interval.hi", "root_pattern.in_0_1"]))
+    node, *rest = path.split(".")
+    target, key = (cert[node], rest[0]) if rest else (cert, node)
+    target[key] = draw(_JSON | st.sampled_from([10**4, 4000, -1, 0, "1,2,3", "2/1", "1e999999999"]))
+    return json.dumps(payload)
+
+
+# capsys is read, and so reset, after every call; tmp_path holds one file, rewritten each time
+_FIXTURE_CHECK = [HealthCheck.function_scoped_fixture]
+
+
+class TestCliFuzz:
+    """Any input ends in a documented exit code with a message, never a traceback or a hang."""
+
+    EXIT_CODES = {0, 2, 3, 4, 5}
+
+    @given(
+        poly=_POLY_TEXT,
+        n=st.sampled_from([2, 12]) | _NUMBERS,
+        precision=st.none() | _NUMBERS,
+        kind=st.sampled_from(["auto", "trace", "min"]),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=_FIXTURE_CHECK)
+    def test_certify(self, capsys, poly, n, precision, kind):
+        argv = ["certify", "--n", str(n), "--as", kind]
+        if precision is not None:
+            argv += ["--precision", str(precision)]
+        code, err = _cli_outcome(capsys, argv + ["--", poly])
+        assert code in self.EXIT_CODES and "Traceback" not in err
+
+    @given(n=st.sampled_from([4, 12]) | _NUMBERS, t=st.integers(1, 15), precision=_NUMBERS, a_max=st.integers(3, 8))
+    @settings(max_examples=60, deadline=None, suppress_health_check=_FIXTURE_CHECK)
+    def test_search(self, capsys, n, t, precision, a_max):
+        argv = ["search", "--n", str(n), "--t", str(t), "--precision", str(precision)]
+        code, err = _cli_outcome(capsys, argv + ["--a-max", str(a_max), "--want", "1"])
+        assert code in self.EXIT_CODES and "Traceback" not in err
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=_FIXTURE_CHECK)
+    def test_corrupt_report(self, capsys, tmp_path, report_text, data):
+        path = tmp_path / "report.json"
+        path.write_text(data.draw(_corrupt_reports(report_text)), encoding="utf-8")
+        code, err = _cli_outcome(capsys, ["certify", "--from-report", str(path)])
+        assert code in self.EXIT_CODES and "Traceback" not in err
 
 
 class TestDeepIndices:

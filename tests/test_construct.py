@@ -294,7 +294,7 @@ class TestPatternPrecheck:
     def test_every_proof_checks(self):
         # each rejection the pre-check makes is a Laguerre point and a prime, and certify_trace agrees
         plan = plan_construction(44, 31)
-        fixed = construct._fixed_roots(plan)
+        fixed = construct._fixed_roots(plan.construction, plan.n, plan.t)
         proved = 0
         for a in range(3, 40):
             trace = build_candidate(plan, a)
@@ -314,7 +314,7 @@ class TestPatternPrecheck:
     def test_fixed_roots_match_factors(self):
         for n, t in [(4, 7), (12, 9), (28, 23), (36, 25), (44, 31), (44, 35), (92, 61), (124, 71)]:
             plan = plan_construction(n, t)
-            fixed = sorted(construct._fixed_roots(plan))
+            fixed = sorted(construct._fixed_roots(plan.construction, n, t))
             den = 1 << construct._PROBE_BITS
             product = ONE
             for f in plan.factors:

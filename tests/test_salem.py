@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from salemunits import factor, roots, salem
-from salemunits.construct import build_candidate, plan_construction
+from salemunits.construct import build_candidate, plan_construction, search
 from salemunits.factor import IrreducibilityWitness
 from salemunits.intpoly import IntPoly, lift_trace, resultant
 from salemunits.roots import IsolatingInterval, cauchy_bound, isolate_roots, refine, root_pattern
@@ -359,3 +359,84 @@ class TestBetaIntervalReplay:
             _forged_certificate(trace, 12, witness), beta_interval=IsolatingInterval(Fraction(3), Fraction(4))
         )
         assert "beta_interval" in verify_certificate(cert)
+
+
+class TestInterlacingReplay:
+    """Replay proves a constructed candidate's pattern from recomputed points, and forged fields only reach the chain."""
+
+    @pytest.fixture(scope="class")
+    def cert(self):
+        plan = plan_construction(44, 31)
+        return certify_trace(build_candidate(plan, 29), 44, construction=plan.construction, a=29)
+
+    @pytest.fixture
+    def chains(self, monkeypatch):
+        built = []
+        init = roots.SturmChain.__init__
+        monkeypatch.setattr(roots.SturmChain, "__init__", lambda self, p: built.append(p) or init(self, p))
+        return built
+
+    @staticmethod
+    def replayed(cert, **changes):
+        """A fresh decode, so no chain is kept on the trace from an earlier check."""
+        return SalemCertificate.from_json_dict(replace(cert, **changes).to_json_dict())
+
+    def test_constructed_candidate(self, cert, chains):
+        assert verify_certificate(self.replayed(cert)) == []
+        assert chains == []
+
+    @pytest.mark.parametrize("construction", ["quad-unit", "quad-shift-golden", "linear", "external", "no-such"])
+    def test_forged_construction(self, cert, chains, construction):
+        assert verify_certificate(self.replayed(cert, construction=construction)) == []
+        assert len(chains) == 1  # the points prove nothing, so the chain decides
+
+    # the points for a = 30 still separate the roots of the a = 29 trace: a sound proof, so no chain
+    @pytest.mark.parametrize(
+        "a, failures, built", [(None, [], 1), (2, ["beta_location"], 1), (30, ["beta_location"], 0)]
+    )
+    def test_forged_a(self, cert, chains, a, failures, built):
+        assert verify_certificate(self.replayed(cert, a=a)) == failures
+        assert len(chains) == built
+
+    @pytest.mark.parametrize("a", [-1, 0])
+    def test_location_needs_a_at_least_3(self, a):
+        # T changes sign on (a-1, a) for these a, from 7 and 3 roots in (-2, 2): not beta
+        cert = search(28, 23, 33, 33, 1).certificates[0]
+        assert verify_certificate(self.replayed(cert, a=a)) == ["beta_location"]
+
+    def test_forged_n(self, cert, chains):
+        # (36, 31) is a quad-unit plan, not quad-shift: the points prove nothing
+        assert verify_certificate(self.replayed(cert, n=36)) == ["resultant"]
+        assert len(chains) == 1
+
+    def test_huge_n_computes_no_roots(self, cert, chains, monkeypatch):
+        from salemunits import construct
+
+        def no_roots(*args):
+            raise AssertionError("closed-form roots were computed")
+
+        monkeypatch.setattr(construct, "cyclo_trace_roots_dyadic", no_roots)
+        monkeypatch.setattr(construct, "cheb_roots_dyadic", no_roots)
+        huge = 8 * 10**40 + 4  # 4 mod 8 and prime to 5, so only 2t >= n + 6 fails
+        assert verify_certificate(self.replayed(cert, n=huge)) == ["resultant"]
+        assert len(chains) == 1
+
+    def test_forged_root_pattern(self, cert, chains):
+        rp = cert.root_pattern
+        for forged in (replace(rp, in_0_1=rp.in_0_1 + 1), replace(rp, below_neg2=1, in_neg2_2=rp.in_neg2_2 - 1)):
+            assert verify_certificate(self.replayed(cert, root_pattern=forged)) == ["root_pattern"]
+        assert chains == []
+
+    def test_construction_of_wrong_type(self, cert):
+        data = cert.to_json_dict()
+        data["construction"] = ["quad-shift"]
+        with pytest.raises(ValueError):
+            SalemCertificate.from_json_dict(data)
+
+    def test_golden_mirror_plan(self, chains):
+        plan = plan_construction(44, 35)
+        assert plan.construction == "quad-shift-golden-mirror"
+        chains.clear()
+        cert = certify_trace(build_candidate(plan, 117), 44, construction=plan.construction, a=117)
+        assert verify_certificate(self.replayed(cert)) == []
+        assert chains == []
