@@ -10,14 +10,16 @@ or the run aborts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .factor import separable_mod_prime
 from .intpoly import IntPoly, gcd_over_rationals
-from .roots import _laguerre_fails, _value_at, is_separable, root_pattern, sturm_count_open
+from .roots import _laguerre_fails, _value_at, root_pattern, sturm_count_open
 from .salem import (
     DEFAULT_PRECISION,
     CertificationError,
@@ -60,6 +62,8 @@ _L_PARITY_AND_EXTRA[QUAD_SHIFT_GOLDEN_MIRROR] = (1, (_GOLDEN_MIRROR,))
 _PROBE_BITS = 32
 _PROBE_ARCHES = 8
 _PROBE_STEPS = 6
+# a search sweeps fewer than this many values of a; each costs a candidate, see the CLI help
+MAX_A_SPAN = 10_000
 
 
 class HypothesisError(Exception):
@@ -76,8 +80,8 @@ class ConstructionPlan:
     """Which construction applies to (n, t), with its fixed factor list.
 
     ``factors`` multiplied by the a-dependent factor of ``a_factor_shape``
-    (minus 1) give the degree-t candidate; ``parity_evidence`` records every
-    exactly-computed count the selection used.
+    (minus 1) give the degree-t candidate; ``parity_evidence``, read-only as
+    plans are cached, records every exactly-computed count the selection used.
     """
 
     construction: str
@@ -87,7 +91,7 @@ class ConstructionPlan:
     l: int
     factors: tuple[IntPoly, ...]
     a_factor_shape: str
-    parity_evidence: dict = field(default_factory=dict)
+    parity_evidence: Mapping[str, int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,13 +143,15 @@ def _checked_unit_count(k: int) -> int:
     return formula
 
 
+@lru_cache(maxsize=None)
 def plan_construction(n: int, t: int) -> ConstructionPlan:
     """Select the construction for (n, t), rejecting hypothesis violations precisely.
 
     Requires n = 4 mod 8, n != 0 mod 5, t odd, t >= (n+6)/2.  Writing
     t = 3 + n/2 + 2l: even l picks the quad-unit shape directly; odd l picks
     among the three shifted-quadratic shapes by the parities of the exact
-    (0,1) root counts.
+    (0,1) root counts.  A plan is made once per (n, t), Sturm cross-checks
+    included, and shared.
     """
     if n < 1 or t < 1:
         raise HypothesisError("positivity", "n and t must be positive integers")
@@ -172,7 +178,7 @@ def plan_construction(n: int, t: int) -> ConstructionPlan:
             l=l,
             factors=(cn, _XX_MINUS_4, cheb(4 * k)),
             a_factor_shape=SHAPE_QUAD_UNIT,
-            parity_evidence={"l": l, "k": k},
+            parity_evidence=MappingProxyType({"l": l, "k": k}),
         )
 
     k = (l - 1) // 2
@@ -184,14 +190,9 @@ def plan_construction(n: int, t: int) -> ConstructionPlan:
         raise RuntimeError(
             f"(0,1) root counts are not additive at n={n}, k={k}: {product01} vs {cn01}+{r_shift}"
         )
-    evidence = {
-        "l": l,
-        "k": k,
-        "roots01_cheb_shift": r_shift,
-        "roots01_cheb_even": r_even,
-        "roots01_cyclo": cn01,
-        "roots01_product": product01,
-    }
+    evidence = MappingProxyType(dict(
+        l=l, k=k, roots01_cheb_shift=r_shift, roots01_cheb_even=r_even, roots01_cyclo=cn01, roots01_product=product01
+    ))
     if product01 % 2 == 0:
         return ConstructionPlan(
             construction=QUAD_SHIFT,
@@ -203,12 +204,8 @@ def plan_construction(n: int, t: int) -> ConstructionPlan:
             a_factor_shape=SHAPE_QUAD_SHIFT,
             parity_evidence=evidence,
         )
-    if r_shift % 2 == 1 or (r_shift % 2 == 0 and r_even % 2 == 0):
-        construction = QUAD_SHIFT_GOLDEN
-        extra = _GOLDEN
-    else:
-        construction = QUAD_SHIFT_GOLDEN_MIRROR
-        extra = _GOLDEN_MIRROR
+    golden = r_shift % 2 == 1 or r_even % 2 == 0
+    construction, extra = (QUAD_SHIFT_GOLDEN, _GOLDEN) if golden else (QUAD_SHIFT_GOLDEN_MIRROR, _GOLDEN_MIRROR)
     return ConstructionPlan(
         construction=construction,
         n=n,
@@ -273,9 +270,9 @@ def build_linear_family(n: int, t: int, d_factor: IntPoly, a: int) -> IntPoly:
         )
     cn = cyclo_trace(n)
     if d_expected >= 1:
-        if not is_separable(d_factor):
-            raise HypothesisError("d_separable", "the roots of D must be distinct")
         pattern = root_pattern(d_factor)
+        if not pattern.separable:
+            raise HypothesisError("d_separable", "the roots of D must be distinct")
         if pattern.in_neg2_2 != d_expected:
             raise HypothesisError("d_roots_range", "every root of D must be real and lie in (-2, 2)")
         if cn.degree >= 1 and gcd_over_rationals(d_factor, cn).degree != 0:
@@ -396,6 +393,8 @@ def search(
         raise ValueError("a_min must be at least 3")
     if a_max < a_min:
         raise ValueError("a_max must be at least a_min")
+    if a_max - a_min >= MAX_A_SPAN:
+        raise ValueError(f"a_max - a_min must be less than {MAX_A_SPAN} (got {a_max - a_min})")
     check_n(n)
     check_t(t)
     check_precision(precision_digits)

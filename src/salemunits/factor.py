@@ -9,7 +9,8 @@ When it gives no verdict, the trace must have the Salem root pattern: one root
 above 2, the other t - 1 in (-2, 2).  Then any factor that lacks the large root
 has all its roots in (-2, 2), so by Kronecker's theorem it is a product of
 cyclotomic traces psi_m, and three exact gcds find one (Bradford & Davenport,
-*Effective tests for cyclotomic polynomials*, 1988).
+*Effective tests for cyclotomic polynomials*, 1988).  The caller proves the
+``RootPattern`` of the trace and passes it in; nothing here counts roots.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .intpoly import IntPoly, gcd_over_rationals
-from .roots import is_separable, root_pattern
+from .roots import RootPattern
 
 _FILTER_PRIME_COUNT = 5
 SEPARABILITY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -229,14 +230,10 @@ def _cyclotomic_factor(p: IntPoly) -> Optional[IntPoly]:
     return None
 
 
-def _has_salem_pattern(p: IntPoly) -> bool:
-    return p.is_monic and root_pattern(p).is_salem(int(p.degree))
-
-
 # keeps the name of the fallback it replaced: the benchmark tracer patches it by name
-def _zassenhaus(p: IntPoly) -> IrreducibilityWitness:
-    """Kronecker's test on a trace with the Salem pattern; ValueError without it."""
-    if not _has_salem_pattern(p):
+def _zassenhaus(p: IntPoly, pattern: RootPattern) -> IrreducibilityWitness:
+    """Kronecker's test on a monic trace whose proved pattern is Salem's; ValueError without it."""
+    if not pattern.is_salem(int(p.degree)):
         raise ValueError("the filter gave no verdict, and the Kronecker test needs the Salem root pattern")
     g = _cyclotomic_factor(p)
     if g is None:
@@ -244,8 +241,8 @@ def _zassenhaus(p: IntPoly) -> IrreducibilityWitness:
     return IrreducibilityWitness(verdict="reducible", method=KRONECKER, factor=g)
 
 
-def is_irreducible(p: IntPoly) -> IrreducibilityWitness:
-    """Decide irreducibility over Q of a monic squarefree trace polynomial.
+def is_irreducible(p: IntPoly, pattern: RootPattern) -> IrreducibilityWitness:
+    """Decide irreducibility over Q of a monic squarefree trace polynomial with the proved ``pattern``.
 
     Returns a witness that can be re-verified from its stored detail alone
     (see :func:`verify_witness`).  Raises ValueError on non-monic,
@@ -256,8 +253,7 @@ def is_irreducible(p: IntPoly) -> IrreducibilityWitness:
         raise ValueError("need a polynomial of degree at least 1")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    # a prime q with gcd(p mod q, p' mod q) = 1 proves it without a Sturm chain
-    if p.degree > 1 and separable_mod_prime(p) is None and not is_separable(p):
+    if not pattern.separable:
         raise ValueError("polynomial must be squarefree")
     deg = int(p.degree)
     primes = _good_primes(p, _FILTER_PRIME_COUNT)
@@ -269,16 +265,16 @@ def is_irreducible(p: IntPoly) -> IrreducibilityWitness:
             primes=tuple(primes),
             degree_multisets=tuple(multisets),
         )
-    return _zassenhaus(p)
+    return _zassenhaus(p, pattern)
 
 
-def verify_witness(p: IntPoly, witness: IrreducibilityWitness) -> bool:
+def verify_witness(p: IntPoly, witness: IrreducibilityWitness, pattern: RootPattern) -> bool:
     """Replay a witness from its stored detail without re-deciding.
 
     Reducible: one exact division.  Filter: recompute the subset-sum
     intersection from the stored degree multisets.  Kronecker (and the legacy
-    exact-factorization method): check the Salem pattern from the chain kept
-    on p, then run the three gcds.
+    exact-factorization method): check that ``pattern``, which the caller
+    proved for p, is Salem's, then run the three gcds.
     """
     if witness.verdict == "reducible":
         f = witness.factor
@@ -300,5 +296,5 @@ def verify_witness(p: IntPoly, witness: IrreducibilityWitness) -> bool:
                 return False
         return _filter_proves_irreducible(deg, witness.degree_multisets)
     if witness.method in (KRONECKER, "exact-factorization"):
-        return _has_salem_pattern(p) and _cyclotomic_factor(p) is None
+        return p.is_monic and pattern.is_salem(int(p.degree)) and _cyclotomic_factor(p) is None
     return False

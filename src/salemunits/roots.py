@@ -4,10 +4,10 @@ Counts use the half-open convention (lo, hi]; open-interval helpers adjust by
 exact endpoint evaluation.  A chain is the subresultant pseudo-remainder
 sequence of (f, f') from the one kernel in ``intpoly``: each step divides by a
 known exact divisor instead of taking a content gcd, and each element is
-signed so the sequence is a genuine Sturm chain.  Each polynomial object
-builds its chain once, on first use, and separability, the root pattern,
-counting and isolation read that one chain, unless sign changes at given
-points prove the pattern, or at an interval's ends isolate a root to refine.
+signed so the sequence is a genuine Sturm chain.  Each query builds its own
+chain, if it needs one: sign changes at given points can prove the root
+pattern, and at an interval's ends let ``refine`` work on p alone.  A caller
+proves a polynomial's ``RootPattern`` once and passes that value on.
 """
 
 from __future__ import annotations
@@ -154,8 +154,6 @@ class SturmChain:
         if not self.separable:
             g = IntPoly(chain[-1]).primitive()
             chain = _sturm_sequence(f.exact_div(-g if g.lc < 0 else g))
-        # coefficients only: a chain kept on p must not refer back to p, or
-        # freeing p would wait for the cycle collector
         self.chain = chain
         self.squarefree = chain[0]
 
@@ -186,18 +184,9 @@ class SturmChain:
         return n
 
 
-def _chain(p: IntPoly) -> SturmChain:
-    """The chain of this polynomial object (not of its value), built on first use."""
-    chain = p.__dict__.get("_sturm_chain")
-    if chain is None:
-        chain = SturmChain(p)
-        object.__setattr__(p, "_sturm_chain", chain)
-    return chain
-
-
 def is_separable(p: IntPoly) -> bool:
     """True iff p has no repeated root, i.e. gcd(p, p') = 1."""
-    return _chain(p).separable
+    return SturmChain(p).separable
 
 
 def cauchy_bound(p: IntPoly) -> Fraction:
@@ -209,12 +198,12 @@ def cauchy_bound(p: IntPoly) -> Fraction:
 
 def sturm_count(p: IntPoly, lo, hi) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    return _chain(p).count(Fraction(lo), Fraction(hi))
+    return SturmChain(p).count(Fraction(lo), Fraction(hi))
 
 
 def sturm_count_open(p: IntPoly, lo, hi) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi)."""
-    return _chain(p).count_open(Fraction(lo), Fraction(hi))
+    return SturmChain(p).count_open(Fraction(lo), Fraction(hi))
 
 
 def _isolate(chain: SturmChain, lo: Fraction, hi: Fraction) -> list[IsolatingInterval]:
@@ -231,7 +220,7 @@ def _isolate(chain: SturmChain, lo: Fraction, hi: Fraction) -> list[IsolatingInt
 
 def isolate_roots(p: IntPoly, lo, hi) -> list[IsolatingInterval]:
     """Disjoint isolating intervals, ascending, one per distinct root in (lo, hi]."""
-    chain = _chain(p)
+    chain = SturmChain(p)
     if not chain.separable:
         raise ValueError("polynomial is not separable")
     return _isolate(chain, Fraction(lo), Fraction(hi))
@@ -258,21 +247,22 @@ def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
     if width <= 0:
         raise ValueError("width must be positive")
     lo, hi = iv.lo, iv.hi
-    # the chain's squarefree part is needed only without a strict sign change of p
-    coeffs = p.coeffs if _sign_at(p.coeffs, lo) * _sign_at(p.coeffs, hi) < 0 else _chain(p).squarefree
+    # the chain, and its squarefree part, are needed only without a strict sign change of p
+    chain = None if _sign_at(p.coeffs, lo) * _sign_at(p.coeffs, hi) < 0 else SturmChain(p)
+    coeffs = p.coeffs if chain is None else chain.squarefree
     slo, shi = _sign_at(coeffs, lo), _sign_at(coeffs, hi)
     if shi == 0:
         return _exact(hi)
     # establish a strict sign change, bisecting by Sturm counts until then;
     # that needs exactly one root in (lo, hi], or the bisection never ends
-    if slo * shi >= 0 and _chain(p).count(lo, hi) != 1:
+    if slo * shi >= 0 and chain.count(lo, hi) != 1:
         raise ValueError("interval does not isolate a root")
     while slo * shi >= 0:
         mid = (lo + hi) / 2
         smid = _sign_at(coeffs, mid)
         if smid == 0:
             return _exact(mid)
-        if _chain(p).count(lo, mid) == 1:
+        if chain.count(lo, mid) == 1:
             hi, shi = mid, smid
         else:
             lo, slo = mid, smid
@@ -381,7 +371,7 @@ def root_pattern(p: IntPoly, points: Optional[tuple[Sequence[int], int]] = None)
     pattern = None if points is None else _interlacing_pattern(p.coeffs, *points)
     if pattern is not None:
         return pattern
-    chain = _chain(p)
+    chain = SturmChain(p)
     f = chain.squarefree
     at_neg2 = 1 if _value_at(f, -2, 1) == 0 else 0
     at_pos2 = 1 if _value_at(f, 2, 1) == 0 else 0

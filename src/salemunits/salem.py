@@ -36,8 +36,8 @@ MAX_PRECISION = 4000
 # the exponent n in alpha^n - 1; unit_check's cost grows with n, see the
 # measured cost in the CLI help
 MAX_N = 10_000
-# the trace degree t of a search; one candidate's Sturm chain grows fast with
-# t, see the measured cost in the CLI help
+# the trace degree t of a search and of a replayed certificate; a Sturm chain
+# grows fast with t, see the measured cost in the CLI help
 MAX_T = 301
 
 
@@ -195,63 +195,35 @@ def _decimal_string(x: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits)}" if digits else f"{sign}{whole}"
 
 
-def alpha_from_beta(
-    beta_iv: IsolatingInterval,
-    precision_digits: int = DEFAULT_PRECISION,
-    poly: Optional[IntPoly] = None,
-) -> tuple[str, IsolatingInterval]:
-    """Certified decimal of alpha = (beta + sqrt(beta^2 - 4))/2 from a beta interval.
+def alpha_from_beta(beta_iv: IsolatingInterval, precision_digits: int, poly: IntPoly) -> tuple[str, IsolatingInterval]:
+    """Certified decimal of alpha = (beta + sqrt(beta^2 - 4))/2, beta > 2 a root of the monic poly in beta_iv.
 
     Returns (decimal string with ``precision_digits`` certified digits, the
-    alpha enclosure).  ``poly`` is needed to refine the beta interval when the
-    input is wider than the target precision requires.
+    alpha enclosure); the beta interval is refined on poly as those digits need.
+    beta is an algebraic integer, so a rational alpha would be an integer, and
+    so would 1/alpha = beta - alpha: then alpha = 1 and beta = 2.  So alpha is
+    irrational, never on a digit boundary, and the loop below ends.
     """
     check_precision(precision_digits)
-    if beta_iv.exact_root is not None and beta_iv.exact_root <= 2:
-        raise ValueError("beta must exceed 2")
-    if beta_iv.exact_root is None and beta_iv.lo < 2:
-        raise ValueError("beta interval must lie entirely above 2")
-
-    if beta_iv.exact_root is not None:
-        b = beta_iv.exact_root
-        disc = b * b - 4
-        root_num = math.isqrt(disc.numerator)
-        root_den = math.isqrt(disc.denominator)
-        if root_num * root_num == disc.numerator and root_den * root_den == disc.denominator:
-            alpha = (b + Fraction(root_num, root_den)) / 2
-            iv = IsolatingInterval(alpha, alpha, exact_root=alpha)
-            return _decimal_string(alpha, precision_digits), iv
-
+    if not poly.is_monic:
+        raise ValueError("beta must be a root of a monic polynomial")
+    if beta_iv.lo < 2 or beta_iv.hi <= 2:
+        raise ValueError("beta interval must lie above 2")
+    if beta_iv.exact_root is not None and poly(beta_iv.exact_root) != 0:
+        raise ValueError("the exact beta is not a root of the polynomial")
     work = precision_digits + 4
+    scale = 10**precision_digits
     while True:
-        if beta_iv.exact_root is not None:
-            bl = bh = beta_iv.exact_root
-        else:
-            target = Fraction(1, 10**work)
-            if beta_iv.width > target:
-                if poly is None:
-                    raise ValueError("beta interval too wide; pass the polynomial to refine")
-                beta_iv = refine(beta_iv, poly, target)
-                if beta_iv.exact_root is not None:
-                    return alpha_from_beta(beta_iv, precision_digits, poly)
-            bl, bh = beta_iv.lo, beta_iv.hi
+        target = Fraction(1, 10**work)
+        if beta_iv.width > target:
+            beta_iv = refine(beta_iv, poly, target)
+        # lo = hi for an exact root
+        bl, bh = beta_iv.lo, beta_iv.hi
         sl, _ = _sqrt_enclosure(bl * bl - 4, work)
         _, sh = _sqrt_enclosure(bh * bh - 4, work)
         al, ah = (bl + sl) / 2, (bh + sh) / 2
-        scale = 10**precision_digits
-        fl = (al.numerator * scale) // al.denominator
-        fh = (ah.numerator * scale) // ah.denominator
-        if fl == fh:
+        if (al.numerator * scale) // al.denominator == (ah.numerator * scale) // ah.denominator:
             return _decimal_string(al, precision_digits), IsolatingInterval(al, ah)
-        # alpha may sit exactly on a digit boundary (rational alpha whose beta
-        # the dyadic bisection never hits); test the unique candidate exactly
-        if fh - fl == 1 and poly is not None:
-            cand = Fraction(fh, scale)
-            if cand > 1:
-                beta_cand = cand + 1 / cand
-                if beta_iv.lo < beta_cand <= beta_iv.hi and poly(beta_cand) == 0:
-                    iv = IsolatingInterval(cand, cand, exact_root=cand)
-                    return _decimal_string(cand, precision_digits), iv
         work += max(8, work // 2)
 
 
@@ -268,7 +240,8 @@ def certify_trace(
     Check order: monic/degree gates, separability, root pattern,
     irreducibility, reciprocal lift, unit resultant.  All arithmetic is exact.
     The pattern of a constructed candidate, and with it separability, is
-    proved by interlacing sign changes, with no Sturm chain.
+    proved by interlacing sign changes, with no Sturm chain; an external
+    trace's by one chain.  The irreducibility check reads that pattern.
     """
     from .construct import interlacing_points  # construct imports this module
 
@@ -292,7 +265,7 @@ def certify_trace(
             {"pattern": pattern.to_json_dict()},
         )
 
-    witness = is_irreducible(trace)
+    witness = is_irreducible(trace, pattern)
     if witness.verdict != "irreducible":
         raise CertificationError(
             "irreducibility",
@@ -373,14 +346,16 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
 
     failures: list[str] = []
     trace, n, t = cert.trace_poly, cert.n, cert.t
-    if trace.is_zero or not trace.is_monic or int(trace.degree) != t or t < 2:
+    # the degree is bounded before any chain is built: a chain's cost grows fast with t
+    if trace.is_zero or not trace.is_monic or int(trace.degree) != t or not 2 <= t <= MAX_T:
         return ["degree"]
     if lift_trace(trace, t) != cert.min_poly or not is_reciprocal(cert.min_poly):
         failures.append("lift")
     pattern = root_pattern(trace, interlacing_points(cert.construction, n, t, cert.a))
     if pattern != cert.root_pattern or not pattern.is_salem(t):
         failures.append("root_pattern")
-    if cert.irreducibility.verdict != "irreducible" or not verify_witness(trace, cert.irreducibility):
+    # the witness is replayed against the pattern proved here, never the stored one
+    if cert.irreducibility.verdict != "irreducible" or not verify_witness(trace, cert.irreducibility, pattern):
         failures.append("irreducibility")
     # unit_check is defined for a monic S only, and bounded to 1 <= n <= MAX_N
     if (

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import salemunits.trigpolys as trigpolys
 from salemunits.cli import main
-from salemunits.construct import search
+from salemunits.construct import MAX_A_SPAN, build_candidate, plan_construction, search
 from salemunits.intpoly import IntPoly
 from salemunits.salem import MAX_T
 
@@ -94,6 +94,17 @@ class TestSearch:
         assert code == 2 and "a_min" in err
         code, _, err = run(capsys, "search", "--n", "12", "--t", "9", "--a-min", "10", "--a-max", "5")
         assert code == 2
+
+    def test_a_span_over_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "12", "--t", "9", "--a-max", str(3 + MAX_A_SPAN))
+        assert code == 2 and out == ""
+        assert err.strip() == f"a_max - a_min must be less than {MAX_A_SPAN} (got {MAX_A_SPAN})"
+
+    def test_help_states_a_span_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"less than {MAX_A_SPAN}" in text and " s " in text
 
 
 class TestCertify:
@@ -290,6 +301,26 @@ class TestCertifyDegreeBound:
         code, out, err = run(capsys, "certify", str(path), "--n", "12", "--as", kind)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and f"degree at most {2 * MAX_T if kind != 'trace' else MAX_T}" in err
+
+    def test_from_report_over_bound_fails_fast(self, capsys, tmp_path):
+        # a (12, 401) candidate in a report: its Sturm chain alone takes seconds, and replay
+        # refuses the degree first
+        path = tmp_path / "report.json"
+        run(capsys, "search", "--n", "12", "--t", "9", "--want", "1", "--output", str(path))
+        payload = json.loads(path.read_text())
+        entry = payload["certificates"][0]
+        entry["t"] = 401
+        entry["trace_poly"] = build_candidate(plan_construction(12, 401), 1000).to_text()
+        path.write_text(json.dumps(payload))
+        old = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(2)
+        try:
+            code, out, err = run(capsys, "certify", "--from-report", str(path))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert code == 5 and err == ""
+        assert out == "FAIL n=12 t=401 a=3: degree\n"
 
     def test_at_bound_reaches_certification(self, capsys, tmp_path):
         # x^MAX_T + 1 passes the bound and is rejected by a check, quickly

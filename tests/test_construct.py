@@ -8,6 +8,7 @@ import sympy
 from salemunits import construct
 from salemunits.construct import (
     LINEAR,
+    MAX_A_SPAN,
     QUAD_SHIFT,
     QUAD_SHIFT_GOLDEN,
     QUAD_SHIFT_GOLDEN_MIRROR,
@@ -82,6 +83,13 @@ class TestDispatch:
         assert ev["roots01_cheb_shift"] == 2
         assert ev["roots01_cheb_even"] == 1
         assert ev["roots01_product"] == 5
+
+    def test_plan_made_once_and_read_only(self):
+        plan = plan_construction(44, 35)
+        assert plan_construction(44, 35) is plan
+        with pytest.raises(TypeError):
+            plan.parity_evidence["roots01_product"] = 4
+        assert plan.to_json_dict()["parity_evidence"]["roots01_product"] == 5
 
     def test_factor_lists_pairwise_coprime(self):
         from itertools import combinations
@@ -235,6 +243,15 @@ class TestSearch:
         for n in (MAX_N + 4, 10**30 + 4):
             with pytest.raises(ValueError, match="n must be between"):
                 search(n, n // 2 + 3)
+
+    def test_a_span_bound(self):
+        # refused before planning or building any candidate
+        with pytest.raises(ValueError, match=f"less than {MAX_A_SPAN}"):
+            search(12, 9, 3, 3 + MAX_A_SPAN)
+        with pytest.raises(ValueError, match="less than"):
+            search(20, 15, 3, 10**30)  # 5 | n: planning would raise HypothesisError
+        report = search(12, 9, 3, 3 + MAX_A_SPAN - 1, want=1)
+        assert [c.a for c in report.certificates] == [3]
 
     def test_t_bound(self):
         # refused before planning; MAX_T + 2 is odd, and t = 10**30 + 1 has no feasible plan to build

@@ -1,6 +1,7 @@
 """Irreducibility verdicts, witness replay, and agreement with an independent oracle."""
 
 import random
+from dataclasses import replace
 
 import pytest
 import sympy
@@ -25,7 +26,7 @@ from salemunits.factor import (
     verify_witness,
 )
 from salemunits.intpoly import IntPoly, resultant
-from salemunits.roots import is_separable, root_pattern
+from salemunits.roots import RootPattern, SturmChain, is_separable, root_pattern
 from salemunits.trigpolys import extract_trace
 
 _x = sympy.Symbol("x")
@@ -51,38 +52,48 @@ PLANTED = [m for m in range(3, 91) if sympy.totient(m) <= 24]
 SWEEP_PLANS = [(12, 9), (28, 23), (36, 25), (44, 31)]
 
 
+def decide(p: IntPoly) -> IrreducibilityWitness:
+    """is_irreducible with the pattern proved by the Sturm chain, as certify_trace proves an external trace's."""
+    return is_irreducible(p, root_pattern(p))
+
+
+def replay(p: IntPoly, witness: IrreducibilityWitness) -> bool:
+    """verify_witness with the pattern proved by the Sturm chain, as verify_certificate proves an external trace's."""
+    return verify_witness(p, witness, root_pattern(p))
+
+
 def salem_pattern_candidates():
     for n, t in SWEEP_PLANS:
         plan = plan_construction(n, t)
         for a in range(3, 61):
             p = build_candidate(plan, a)
-            if is_separable(p) and root_pattern(p).is_salem(t):
+            if root_pattern(p).is_salem(t):
                 yield p
 
 
 class TestVerdicts:
     def test_quadratic_unit_factor(self):
-        w = is_irreducible(IntPoly([1, -5, 1]))
+        w = decide(IntPoly([1, -5, 1]))
         assert w.verdict == "irreducible"
 
     def test_cyclo12_reducible(self):
         p = IntPoly([1, -5, 1]) * psi(12)
-        w = is_irreducible(p)
+        w = decide(p)
         assert w.verdict == "reducible" and w.method == KRONECKER
         assert w.factor == psi(12)
 
     def test_degree_one(self):
-        assert is_irreducible(IntPoly([7, 1])).verdict == "irreducible"
+        assert decide(IntPoly([7, 1])).verdict == "irreducible"
 
     def test_zero_constant_coefficient(self):
         # psi_4 = x: gcd(p(x), p(-x)) finds it
-        w = is_irreducible(IntPoly([0, 1, -5, 1]))
+        w = decide(IntPoly([0, 1, -5, 1]))
         assert w.verdict == "reducible" and w.factor == IntPoly([0, 1])
 
     def test_filter_inconclusive_case(self):
         # the (12,9), a=18 trace splits modulo every filter prime yet is irreducible
         p = build_candidate(plan_construction(12, 9), 18)
-        w = is_irreducible(p)
+        w = decide(p)
         assert w.verdict == "irreducible"
         assert w.method == KRONECKER
         assert sympy_is_irreducible(p)
@@ -98,40 +109,40 @@ class TestKronecker:
     @pytest.mark.parametrize("m", PLANTED)
     def test_planted_psi_small_trace(self, m):
         p = build_candidate(plan_construction(12, 9), 3) * psi(m)
-        w = _zassenhaus(p)
+        w = _zassenhaus(p, root_pattern(p))
         assert w.verdict == "reducible" and w.method == KRONECKER
         assert w.factor == psi(m)
-        assert verify_witness(p, w)
+        assert replay(p, w)
 
     @pytest.mark.parametrize("m", [16, 24])
     def test_planted_psi_four_divides_m(self, m):
         # 4 | m: psi_m(-x) = +-psi_m(x), found only by gcd(p(x), p(-x))
         p = build_candidate(plan_construction(92, 61), 111) * psi(m)
-        w = _zassenhaus(p)
+        w = _zassenhaus(p, root_pattern(p))
         assert w.verdict == "reducible"
         assert w.factor == psi(m)
-        assert verify_witness(p, w)
+        assert replay(p, w)
 
     def test_fallback_needs_salem_pattern(self):
         # x^4 + 1 splits modulo every prime and has no real root
         with pytest.raises(ValueError, match="Kronecker"):
-            is_irreducible(IntPoly([1, 0, 0, 0, 1]))
+            decide(IntPoly([1, 0, 0, 0, 1]))
 
 
 class TestPreconditions:
     def test_non_monic(self):
         with pytest.raises(ValueError):
-            is_irreducible(IntPoly([1, 2]))
+            decide(IntPoly([1, 2]))
 
     def test_non_squarefree(self):
         with pytest.raises(ValueError):
-            is_irreducible(IntPoly([1, -2, 1]))
+            decide(IntPoly([1, -2, 1]))
 
     def test_constant(self):
         with pytest.raises(ValueError):
-            is_irreducible(IntPoly([5]))
+            decide(IntPoly([5]))
         with pytest.raises(ValueError):
-            is_irreducible(IntPoly())
+            is_irreducible(IntPoly(), RootPattern(0, 0, 0, 0, 0, 0, True))
 
 
 class TestOracleAgreement:
@@ -141,8 +152,8 @@ class TestOracleAgreement:
         checked = 0
         for p in salem_pattern_candidates():
             expected = sympy_is_irreducible(p)
-            assert (_zassenhaus(p).verdict == "irreducible") == expected, p
-            assert (is_irreducible(p).verdict == "irreducible") == expected, p
+            assert (_zassenhaus(p, root_pattern(p)).verdict == "irreducible") == expected, p
+            assert (decide(p).verdict == "irreducible") == expected, p
             checked += 1
         assert checked >= 150
 
@@ -155,31 +166,31 @@ class TestOracleAgreement:
             p = base
             for m in rng.sample(PLANTED, rng.randint(1, 3)):
                 p = p * psi(m)
-            w = is_irreducible(p)
+            w = decide(p)
             assert w.verdict == "reducible"
             p.exact_div(w.factor)
 
     def test_pipeline_degree_35_forced_factorization(self):
         t35 = build_candidate(plan_construction(44, 35), 117)
-        w = _zassenhaus(t35)
+        w = _zassenhaus(t35, root_pattern(t35))
         assert w == IrreducibilityWitness(verdict="irreducible", method=KRONECKER)
-        assert verify_witness(t35, w)
+        assert replay(t35, w)
 
 
 class TestWitnessReplay:
     def test_reducible_replay(self):
         p = IntPoly([1, -5, 1]) * IntPoly([-1, 1])
-        w = is_irreducible(p)
+        w = decide(p)
         assert w.factor == IntPoly([-1, 1])
-        assert verify_witness(p, w)
+        assert replay(p, w)
         bad = IrreducibilityWitness(verdict="reducible", method=KRONECKER, factor=IntPoly([1, 1, 1]))
-        assert not verify_witness(p, bad)
+        assert not replay(p, bad)
 
     def test_filter_replay_without_rerun(self):
         p = IntPoly([1, -5, 1])
-        w = is_irreducible(p)
+        w = decide(p)
         assert w.method == "modular-degree-filter"
-        assert verify_witness(p, w)
+        assert replay(p, w)
         # corrupt one stored multiset: replay must fail
         corrupted = IrreducibilityWitness(
             verdict=w.verdict,
@@ -187,21 +198,37 @@ class TestWitnessReplay:
             primes=w.primes,
             degree_multisets=((1, 1),) * len(w.primes),
         )
-        assert not verify_witness(p, corrupted)
+        assert not replay(p, corrupted)
 
     def test_kronecker_replay(self):
         p = build_candidate(plan_construction(12, 9), 18)
         for method in (KRONECKER, "exact-factorization"):
-            assert verify_witness(p, IrreducibilityWitness(verdict="irreducible", method=method))
+            assert replay(p, IrreducibilityWitness(verdict="irreducible", method=method))
         # a forged irreducible verdict on a reducible trace with the Salem pattern
         reducible = IntPoly([1, -5, 1]) * IntPoly([-1, 1])
         for method in (KRONECKER, "exact-factorization"):
-            assert not verify_witness(reducible, IrreducibilityWitness(verdict="irreducible", method=method))
+            assert not replay(reducible, IrreducibilityWitness(verdict="irreducible", method=method))
         # two roots above 2 and no psi_m factor: without the pattern the gcds prove nothing
         two_large = IntPoly([1, -5, 1]) * IntPoly([1, -7, 1])
-        assert not verify_witness(two_large, IrreducibilityWitness("irreducible", KRONECKER))
-        assert not verify_witness(p, IrreducibilityWitness("irreducible", "no-such-method"))
-        assert not verify_witness(p, IrreducibilityWitness("no-such-verdict", KRONECKER))
+        assert not replay(two_large, IrreducibilityWitness("irreducible", KRONECKER))
+        assert not replay(p, IrreducibilityWitness("irreducible", "no-such-method"))
+        assert not replay(p, IrreducibilityWitness("no-such-verdict", KRONECKER))
+
+    def test_pattern_is_taken_from_the_caller(self, monkeypatch):
+        # no chain is built here: a pattern without Salem's fails the Kronecker replay,
+        # and one without separability is refused
+        p = build_candidate(plan_construction(12, 9), 18)
+        pattern = root_pattern(p)
+
+        def no_chain(self, p):
+            raise AssertionError("a Sturm chain was built")
+
+        monkeypatch.setattr(SturmChain, "__init__", no_chain)
+        w = is_irreducible(p, pattern)
+        assert w.method == KRONECKER and verify_witness(p, w, pattern)
+        assert not verify_witness(p, w, replace(pattern, above_pos2=2, in_neg2_2=pattern.in_neg2_2 - 1))
+        with pytest.raises(ValueError, match="squarefree"):
+            is_irreducible(p, replace(pattern, separable=False))
 
     def test_json_roundtrip(self):
         for poly in (
@@ -209,10 +236,10 @@ class TestWitnessReplay:
             IntPoly([1, -5, 1]) * IntPoly([-1, 1]),
             build_candidate(plan_construction(12, 9), 18),
         ):
-            w = is_irreducible(poly)
+            w = decide(poly)
             back = IrreducibilityWitness.from_json_dict(w.to_json_dict())
             assert back == w
-        assert is_irreducible(poly).to_json_dict() == {"verdict": "irreducible", "method": KRONECKER}
+        assert decide(poly).to_json_dict() == {"verdict": "irreducible", "method": KRONECKER}
 
     def test_legacy_json_parses(self):
         # reports written by the removed Hensel fallback carry its data
@@ -227,7 +254,7 @@ class TestWitnessReplay:
         }
         w = IrreducibilityWitness.from_json_dict(legacy)
         assert (w.verdict, w.method, w.primes, w.degree_multisets) == ("irreducible", "exact-factorization", (3,), ((2, 7),))
-        assert verify_witness(build_candidate(plan_construction(12, 9), 18), w)
+        assert replay(build_candidate(plan_construction(12, 9), 18), w)
 
 
 def sympy_degrees_mod(f: list[int], q: int) -> tuple[int, ...]:
@@ -296,7 +323,7 @@ class TestDegreeMultiset:
     )
     def test_witness_bytes_pinned(self, plan, a, expected):
         # recorded with the earlier list-based kernels: certificates must not change
-        assert is_irreducible(build_candidate(plan_construction(*plan), a)).to_json_dict() == expected
+        assert decide(build_candidate(plan_construction(*plan), a)).to_json_dict() == expected
 
 
 def _unpack(k: _Packed, a: int, length: int) -> list[int]:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from salemunits import construct, roots
+from salemunits import roots
 from salemunits.construct import build_candidate, interlacing_points, plan_construction, search
 from salemunits.intpoly import IntPoly, pseudo_rem
 from salemunits.roots import (
@@ -348,7 +348,7 @@ class TestLaguerre:
 
 
 class TestChainSharing:
-    """Each polynomial object builds one Sturm chain, and certification needs no gcd."""
+    """Each query builds at most one Sturm chain, and certification needs no gcd."""
 
     @pytest.fixture(scope="class")
     def plan(self):
@@ -402,14 +402,14 @@ class TestChainSharing:
     def test_certify_workload_builds_no_chain(self, monkeypatch):
         # the benchmark's certify calls: search and replay need no chain.  Planning (124, 71)
         # cross-checks its parity counts by Sturm chains, so the plans are made first, as in
-        # the benchmark's setup, and search is handed them
+        # the benchmark's setup; a plan is made once per (n, t), so search reuses them
         calls = [(92, 61, a) for a in range(111, 116)] + [(124, 71, a) for a in range(158, 161)]
-        plans = {(n, t): plan_construction(n, t) for n, t, _ in calls}
+        for n, t, _ in calls:
+            plan_construction(n, t)
 
         def no_chain(self, p):
             raise AssertionError("a Sturm chain was built")
 
-        monkeypatch.setattr(construct, "plan_construction", lambda n, t: plans[n, t])
         monkeypatch.setattr(SturmChain, "__init__", no_chain)
         for n, t, a in calls:
             report = search(n, t, a, a, 1)
@@ -429,13 +429,25 @@ class TestChainSharing:
         assert counts == {"chains": 1}
 
     def test_equal_polynomial_builds_its_own_chain(self, plan, counts):
+        # nothing is kept on a polynomial: each query on p or an equal q builds its own chain
         p, q = build_candidate(plan, 5), build_candidate(plan, 5)
         assert p == q and p is not q
         counts.clear()
         assert root_pattern(p) == root_pattern(p)
-        assert counts == {"chains": 1}
-        assert root_pattern(q) == root_pattern(p)
         assert counts == {"chains": 2}
+        assert root_pattern(q) == root_pattern(p)
+        assert counts == {"chains": 4}
+        assert not [name for name in vars(p) if "chain" in name]
+
+    def test_external_trace_builds_one_chain_each(self, plan, counts):
+        # no construction to prove the pattern from: one chain certifies, one replays
+        candidate = build_candidate(plan, 29)
+        counts.clear()
+        cert = certify_trace(candidate, 44)
+        assert counts == {"chains": 1}
+        counts.clear()
+        assert verify_certificate(SalemCertificate.from_json_dict(cert.to_json_dict())) == []
+        assert counts == {"chains": 1}
 
     def test_polynomial_freed_without_cycle_collector(self, plan):
         p = build_candidate(plan, 5)
@@ -617,17 +629,18 @@ class TestInterlacingPattern:
         assert missed == self.MISSED
         assert proved == 264 and len(constructions) == 4
 
-    def test_root_pattern_reads_points_first(self):
+    def test_root_pattern_reads_points_first(self, monkeypatch):
         plan = plan_construction(44, 31)
-        trace = build_candidate(plan, 29)
+        trace, rejected = build_candidate(plan, 29), build_candidate(plan, 5)
+        built = []
+        init = SturmChain.__init__
+        monkeypatch.setattr(SturmChain, "__init__", lambda self, p: built.append(p) or init(self, p))
         pattern = root_pattern(trace, interlacing_points(plan.construction, 44, 31, 29))
-        assert pattern.is_salem(31) and "_sturm_chain" not in trace.__dict__
+        assert pattern.is_salem(31) and built == []
         # points that prove nothing leave the decision to the chain
-        rejected = build_candidate(plan, 5)
-        assert root_pattern(rejected, interlacing_points(plan.construction, 44, 31, 5)) == root_pattern(
-            build_candidate(plan, 5)
-        )
-        assert "_sturm_chain" in rejected.__dict__
+        by_points = root_pattern(rejected, interlacing_points(plan.construction, 44, 31, 5))
+        assert built == [rejected]
+        assert by_points == root_pattern(rejected)
 
     @pytest.mark.parametrize(
         "construction, n, t, a",

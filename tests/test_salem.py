@@ -15,6 +15,7 @@ from salemunits.roots import IsolatingInterval, cauchy_bound, isolate_roots, ref
 from salemunits.salem import (
     MAX_N,
     MAX_PRECISION,
+    MAX_T,
     CertificationError,
     SalemCertificate,
     alpha_from_beta,
@@ -65,7 +66,8 @@ class TestAlphaFromBeta:
         # (3 + sqrt(5))/2, digits frozen from an integer-sqrt computation:
         # floor((3*10^30 + isqrt(5*10^60)) / 2) digit string
         expected = (3 * 10**30 + math.isqrt(5 * 10**60)) // 2
-        dec, iv = alpha_from_beta(IsolatingInterval(Fraction(3), Fraction(3), exact_root=Fraction(3)), 30)
+        three = IsolatingInterval(Fraction(3), Fraction(3), exact_root=Fraction(3))
+        dec, iv = alpha_from_beta(three, 30, IntPoly([-3, 1]))
         assert dec == f"{str(expected)[0]}.{str(expected)[1:]}"
         assert iv.width <= Fraction(1, 10**30)
 
@@ -85,21 +87,16 @@ class TestAlphaFromBeta:
         beta_digits = (3 * 10**20 + math.isqrt(5 * 10**40)) // (2 * 10**10)  # beta = alpha + 1/alpha = 2.6180...
         assert lo <= Fraction(beta_digits + 1, 10**10) and hi >= Fraction(beta_digits, 10**10)
 
-    def test_rational_alpha(self):
-        dec, iv = alpha_from_beta(
-            IsolatingInterval(Fraction(5, 2), Fraction(5, 2), exact_root=Fraction(5, 2)), 8
-        )
-        assert dec == "2.00000000"
-        assert iv.exact_root == 2
-
-    def test_rational_alpha_on_digit_boundary(self):
-        # beta = 41/20 gives alpha = 5/4 exactly; the bisection from (2, 3)
-        # never lands on 41/20, so the digit-boundary candidate must be
-        # detected exactly rather than looping
-        poly = IntPoly([-41, 20])
-        dec, iv = alpha_from_beta(IsolatingInterval(Fraction(2), Fraction(3)), 2, poly)
-        assert dec == "1.25"
-        assert iv.exact_root == Fraction(5, 4)
+    def test_needs_a_root_of_a_monic_polynomial(self):
+        # beta = 5/2 and beta = 41/20 give the rational alpha = 2 and 5/4; a root beta > 2
+        # of a monic polynomial gives an irrational alpha, so the digit loop ends
+        exact = IsolatingInterval(Fraction(5, 2), Fraction(5, 2), exact_root=Fraction(5, 2))
+        with pytest.raises(ValueError, match="monic"):
+            alpha_from_beta(exact, 8, IntPoly([-5, 2]))
+        with pytest.raises(ValueError, match="monic"):
+            alpha_from_beta(IsolatingInterval(Fraction(2), Fraction(3)), 2, IntPoly([-41, 20]))
+        with pytest.raises(ValueError, match="not a root"):
+            alpha_from_beta(exact, 8, IntPoly([-3, 1]))
 
     def test_interval_not_above_2(self):
         with pytest.raises(ValueError):
@@ -322,6 +319,30 @@ class TestIrreducibilityReplay:
         assert "irreducibility" in verify_certificate(_forged_certificate(trace, 12, forged))
 
 
+    def test_kronecker_witness_builds_no_chain(self, monkeypatch):
+        # (12,9), a=18 reaches the Kronecker test; its pattern, proved by interlacing, is passed on
+        trace = _good_trace(18)
+
+        def no_chain(self, p):
+            raise AssertionError("a Sturm chain was built")
+
+        monkeypatch.setattr(roots.SturmChain, "__init__", no_chain)
+        cert = certify_trace(trace, 12, construction="quad-unit", a=18)
+        assert cert.irreducibility.method == "kronecker-cyclotomic"
+        assert verify_certificate(SalemCertificate.from_json_dict(cert.to_json_dict())) == []
+
+    def test_forged_salem_pattern_with_kronecker_witness(self):
+        # two roots above 2; the stored pattern claims Salem's, and the Kronecker replay
+        # must read the pattern the replay proved, not the stored one
+        trace = IntPoly([1, -5, 1]) * IntPoly([1, -6, 1])
+        cert = _forged_certificate(trace, 12, IrreducibilityWitness("irreducible", "kronecker-cyclotomic"))
+        proved = cert.root_pattern
+        forged = replace(proved, in_neg2_2=proved.in_neg2_2 + 1, above_pos2=1)
+        assert not proved.is_salem(4) and forged.is_salem(4)
+        failures = verify_certificate(replace(cert, root_pattern=forged))
+        assert {"root_pattern", "irreducibility"} <= set(failures)
+
+
 class TestBetaIntervalReplay:
     def test_no_sturm_chain_at_interval_endpoints(self, monkeypatch):
         cert = certify_trace(_good_trace(5), 12, a=5, precision_digits=300)
@@ -425,6 +446,13 @@ class TestInterlacingReplay:
         rp = cert.root_pattern
         for forged in (replace(rp, in_0_1=rp.in_0_1 + 1), replace(rp, below_neg2=1, in_neg2_2=rp.in_neg2_2 - 1)):
             assert verify_certificate(self.replayed(cert, root_pattern=forged)) == ["root_pattern"]
+        assert chains == []
+
+    def test_degree_past_max_t_builds_no_chain(self, cert, chains):
+        # a degree-401 trace: its chain alone takes seconds, so the bound is checked first
+        trace = build_candidate(plan_construction(12, 401), 1000)
+        assert MAX_T < 401
+        assert verify_certificate(replace(cert, t=401, trace_poly=trace, construction="external", a=None)) == ["degree"]
         assert chains == []
 
     def test_construction_of_wrong_type(self, cert):
