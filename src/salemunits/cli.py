@@ -29,6 +29,7 @@ from .salem import (
     certify_trace,
     check_n,
     check_precision,
+    check_t,
     verify_certificate,
 )
 
@@ -75,6 +76,12 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _fail(message: str, code: int = EXIT_USAGE) -> int:
+    """Print the one-line message on stderr and return the exit code."""
+    print(message, file=sys.stderr)
+    return code
+
+
 def _alpha_digits(cert: SalemCertificate, digits: int) -> str:
     whole, _, frac = cert.alpha_decimal.partition(".")
     return f"{whole}.{frac[:digits]}"
@@ -84,21 +91,28 @@ def _alpha_digits(cert: SalemCertificate, digits: int) -> str:
 
 
 def _cmd_cheb(args) -> int:
+    if args.k > MAX_N:
+        return _fail(f"k must be at most {MAX_N} (got {args.k})")
     print(trigpolys.cheb(args.k).to_text())
     return EXIT_OK
 
 
 def _cmd_ctrace(args) -> int:
+    if args.n > 2 * MAX_T:
+        return _fail(f"n must be at most {2 * MAX_T} (got {args.n})")
     print(trigpolys.cyclo_trace(args.n).to_text())
     return EXIT_OK
 
 
 def _cmd_plan(args) -> int:
     try:
+        check_n(args.n)
+        check_t(args.t)
         plan = plan_construction(args.n, args.t)
     except HypothesisError as err:
-        print(err.message, file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return _fail(err.message, EXIT_HYPOTHESIS)
+    except ValueError as err:
+        return _fail(str(err))
     print(f"{plan.construction} k={plan.k}")
     print(f"l={plan.l} a-factor={plan.a_factor_shape}")
     for key, value in sorted(plan.parity_evidence.items()):
@@ -142,11 +156,9 @@ def _cmd_search(args) -> int:
             precision_digits=args.precision,
         )
     except HypothesisError as err:
-        print(err.message, file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return _fail(err.message, EXIT_HYPOTHESIS)
     except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(str(err))
     if args.format == "json":
         out = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
@@ -179,11 +191,9 @@ def _cmd_certify(args) -> int:
             entries = payload.get("certificates", [payload] if "trace_poly" in payload else [])
             certs = [SalemCertificate.from_json_dict(entry) for entry in entries]
         except (OSError, ValueError, AttributeError, TypeError) as err:
-            print(f"malformed report {args.from_report}: {err}", file=sys.stderr)
-            return EXIT_USAGE
+            return _fail(f"malformed report {args.from_report}: {err}")
         if not certs:
-            print("report contains no certificates", file=sys.stderr)
-            return EXIT_CERTIFICATION
+            return _fail("report contains no certificates", EXIT_CERTIFICATION)
         bad = 0
         for cert in certs:
             try:
@@ -199,35 +209,27 @@ def _cmd_certify(args) -> int:
         return EXIT_CERTIFICATION if bad else EXIT_OK
 
     if args.poly is None or args.n is None:
-        print("certify needs a polynomial and --n (or --from-report)", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("certify needs a polynomial and --n (or --from-report)")
     try:
         poly = _read_poly(args.poly)
-    except (OSError, ValueError) as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
-    try:
         check_n(args.n)
         check_precision(args.precision)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError) as err:
+        return _fail(str(err))
     kind = args.kind
     if kind == "auto":
         even = not poly.is_zero and int(poly.degree) % 2 == 0
         kind = "min" if even and is_reciprocal(poly) else "trace"
     limit = 2 * MAX_T if kind == "min" else MAX_T
     if not poly.is_zero and poly.degree > limit:
-        print(f"a {kind} polynomial must have degree at most {limit} (got {int(poly.degree)})", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"a {kind} polynomial must have degree at most {limit} (got {int(poly.degree)})")
     try:
         if kind == "min":
             cert = certify_min_poly(poly, args.n, precision_digits=args.precision)
         else:
             cert = certify_trace(poly, args.n, precision_digits=args.precision)
     except CertificationError as err:
-        print(f"rejected at check '{err.check}': {err.message}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+        return _fail(f"rejected at check '{err.check}': {err.message}", EXIT_CERTIFICATION)
     if args.format == "json":
         _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n", args.output)
     else:
@@ -360,6 +362,21 @@ A_MAX_HELP = (
 )
 
 
+K_HELP = (
+    f"the degree k, at most {MAX_N}; larger values exit 2. At k = {MAX_N} the polynomial prints"
+    " 7.5 MB in about 0.5 s (2-core x86-64, Python 3.11)"
+)
+
+CTRACE_N_HELP = (
+    f"the index n, at most {2 * MAX_T}, as n <= 2t - 6 in every plan; larger values exit 2."
+    f" At n = {2 * MAX_T} it takes about 0.2 s (2-core x86-64, Python 3.11)"
+)
+
+PLAN_HELP = (
+    f"n is at most {MAX_N} and t at most {MAX_T}; larger values exit 2. A plan with t <= {MAX_T},"
+    " its Sturm cross-checks included, takes under 1 s (2-core x86-64, Python 3.11)"
+)
+
 POLY_HELP = (
     f"inline coefficients c0,c1,... or a file path: a trace of degree at most {MAX_T}, or a minimal"
     f" polynomial of degree at most {2 * MAX_T}; larger ones exit 2. A degree-{MAX_T} trace, or its"
@@ -375,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cheb", help="print the monic Chebyshev-style polynomial of degree k")
-    p.add_argument("--k", type=_nonneg_int, required=True)
+    p.add_argument("--k", type=_nonneg_int, required=True, help=K_HELP)
     p.set_defaults(func=_cmd_cheb)
 
     p = sub.add_parser("ctrace", help="print the cyclotomic trace polynomial for index n")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True, help=CTRACE_N_HELP)
     p.set_defaults(func=_cmd_ctrace)
 
-    p = sub.add_parser("plan", help="select the construction for (n, t)")
+    p = sub.add_parser("plan", help="select the construction for (n, t)", description=PLAN_HELP)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--t", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_plan)

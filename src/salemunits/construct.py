@@ -1,19 +1,19 @@
 """Candidate trace-polynomial construction and the parity-driven dispatcher.
 
 For n = 4 mod 8, n != 0 mod 5 and odd t >= (n+6)/2 every candidate has the
-shape (fixed factor list) * (a-dependent factor) - 1, where the factor list
-and the a-factor shape are selected from exact parity evidence: root counts of
-the Chebyshev-style and cyclotomic-trace factors in (0, 1).  The selection
-never trusts the closed-form count alone; formula and Sturm count must agree
-or the run aborts.
+shape (fixed factor list) * (a-dependent factor) - 1, where the construction
+is selected from exact parity evidence: root counts of the Chebyshev-style and
+cyclotomic-trace factors in (0, 1).  The selection never trusts the
+closed-form count alone; formula and Sturm count must agree or the run aborts.
+``_CONSTRUCTIONS`` gives each construction's factor list and a-factor shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
+from functools import cached_property, lru_cache
+from math import isqrt, prod
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -47,13 +47,18 @@ LINEAR = "linear"  # a-factor x - a, user-supplied inner factor
 
 SHAPE_QUAD_UNIT = "x^2-a*x+1"
 SHAPE_QUAD_SHIFT = "x^2-a*x+(a-2)"
+# a-factor shape -> its a-factor A_a
+_A_FACTORS = {SHAPE_QUAD_UNIT: lambda a: IntPoly([1, -a, 1]), SHAPE_QUAD_SHIFT: lambda a: IntPoly([a - 2, -a, 1])}
 
-_GOLDEN = IntPoly([-1, 1, 1])  # x^2 + x - 1, roots (-1 +/- sqrt(5))/2
-_GOLDEN_MIRROR = IntPoly([-1, -1, 1])  # x^2 - x - 1, its mirror image
 _XX_MINUS_4 = IntPoly([-4, 0, 1])
-# construction -> (the parity of l = (2t - n - 6)/4 that selects it, its extra fixed factors)
-_L_PARITY_AND_EXTRA = {QUAD_UNIT: (0, ()), QUAD_SHIFT: (1, ()), QUAD_SHIFT_GOLDEN: (1, (_GOLDEN,))}
-_L_PARITY_AND_EXTRA[QUAD_SHIFT_GOLDEN_MIRROR] = (1, (_GOLDEN_MIRROR,))
+# construction -> (the parity of l = (2t - n - 6)/4 that selects it, its a-factor shape, its extra
+# fixed factors).  Its fixed factors are C_n, x^2 - 4, the extras and cheb(2l - 2 len(extras)).
+_CONSTRUCTIONS = MappingProxyType({
+    QUAD_UNIT: (0, SHAPE_QUAD_UNIT, ()),
+    QUAD_SHIFT: (1, SHAPE_QUAD_SHIFT, ()),
+    QUAD_SHIFT_GOLDEN: (1, SHAPE_QUAD_SHIFT, (IntPoly([-1, 1, 1]),)),  # x^2 + x - 1, roots (-1 +/- sqrt(5))/2
+    QUAD_SHIFT_GOLDEN_MIRROR: (1, SHAPE_QUAD_SHIFT, (IntPoly([-1, -1, 1]),)),  # x^2 - x - 1, its mirror image
+})
 
 # The root-pattern pre-check of ``search``: roots of P approximated on the grid
 # 2^-_PROBE_BITS; _PROBE_ARCHES positive arches of P probed (the one at the
@@ -105,6 +110,11 @@ class ConstructionPlan:
             "parity_evidence": dict(self.parity_evidence),
         }
 
+    @cached_property
+    def fixed_product(self) -> IntPoly:
+        """F, the product of ``factors``, made once per plan; not part of the JSON."""
+        return prod(self.factors, start=IntPoly([1]))
+
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -150,8 +160,8 @@ def plan_construction(n: int, t: int) -> ConstructionPlan:
     Requires n = 4 mod 8, n != 0 mod 5, t odd, t >= (n+6)/2.  Writing
     t = 3 + n/2 + 2l: even l picks the quad-unit shape directly; odd l picks
     among the three shifted-quadratic shapes by the parities of the exact
-    (0,1) root counts.  A plan is made once per (n, t), Sturm cross-checks
-    included, and shared.
+    (0,1) root counts.  The factors follow from ``_CONSTRUCTIONS``.  A plan is
+    made once per (n, t), Sturm cross-checks included, and shared.
     """
     if n < 1 or t < 1:
         raise HypothesisError("positivity", "n and t must be positive integers")
@@ -166,74 +176,47 @@ def plan_construction(n: int, t: int) -> ConstructionPlan:
         raise HypothesisError("t_lower_bound", f"t must be at least (n+6)/2 = {t_min} (got t={t})")
 
     l = (t - 3 - n // 2) // 2
+    k = l // 2
     cn = cyclo_trace(n)
-
     if l % 2 == 0:
-        k = l // 2
-        return ConstructionPlan(
-            construction=QUAD_UNIT,
-            n=n,
-            t=t,
-            k=k,
-            l=l,
-            factors=(cn, _XX_MINUS_4, cheb(4 * k)),
-            a_factor_shape=SHAPE_QUAD_UNIT,
-            parity_evidence=MappingProxyType({"l": l, "k": k}),
+        construction, evidence = QUAD_UNIT, {"l": l, "k": k}
+    else:
+        r_shift = _checked_unit_count(2 + 4 * k)
+        r_even = _checked_unit_count(4 * k)
+        cn01 = cyclo_trace_roots_in_unit_interval(n)
+        product01 = sturm_count_open(cn * cheb(2 + 4 * k), 0, 1)
+        if product01 != cn01 + r_shift:
+            raise RuntimeError(
+                f"(0,1) root counts are not additive at n={n}, k={k}: {product01} vs {cn01}+{r_shift}"
+            )
+        evidence = dict(
+            l=l, k=k, roots01_cheb_shift=r_shift, roots01_cheb_even=r_even, roots01_cyclo=cn01,
+            roots01_product=product01,
         )
-
-    k = (l - 1) // 2
-    r_shift = _checked_unit_count(2 + 4 * k)
-    r_even = _checked_unit_count(4 * k)
-    cn01 = cyclo_trace_roots_in_unit_interval(n)
-    product01 = sturm_count_open(cn * cheb(2 + 4 * k), 0, 1)
-    if product01 != cn01 + r_shift:
-        raise RuntimeError(
-            f"(0,1) root counts are not additive at n={n}, k={k}: {product01} vs {cn01}+{r_shift}"
-        )
-    evidence = MappingProxyType(dict(
-        l=l, k=k, roots01_cheb_shift=r_shift, roots01_cheb_even=r_even, roots01_cyclo=cn01, roots01_product=product01
-    ))
-    if product01 % 2 == 0:
-        return ConstructionPlan(
-            construction=QUAD_SHIFT,
-            n=n,
-            t=t,
-            k=k,
-            l=l,
-            factors=(cn, _XX_MINUS_4, cheb(2 + 4 * k)),
-            a_factor_shape=SHAPE_QUAD_SHIFT,
-            parity_evidence=evidence,
-        )
-    golden = r_shift % 2 == 1 or r_even % 2 == 0
-    construction, extra = (QUAD_SHIFT_GOLDEN, _GOLDEN) if golden else (QUAD_SHIFT_GOLDEN_MIRROR, _GOLDEN_MIRROR)
+        if product01 % 2 == 0:
+            construction = QUAD_SHIFT
+        elif r_shift % 2 == 1 or r_even % 2 == 0:
+            construction = QUAD_SHIFT_GOLDEN
+        else:
+            construction = QUAD_SHIFT_GOLDEN_MIRROR
+    _, shape, extra = _CONSTRUCTIONS[construction]
     return ConstructionPlan(
         construction=construction,
         n=n,
         t=t,
         k=k,
         l=l,
-        factors=(cn, _XX_MINUS_4, extra, cheb(4 * k)),
-        a_factor_shape=SHAPE_QUAD_SHIFT,
-        parity_evidence=evidence,
+        factors=(cn, _XX_MINUS_4, *extra, cheb(2 * l - 2 * len(extra))),
+        a_factor_shape=shape,
+        parity_evidence=MappingProxyType(evidence),
     )
 
 
-def _a_factor(shape: str, a: int) -> IntPoly:
-    if shape == SHAPE_QUAD_UNIT:
-        return IntPoly([1, -a, 1])
-    if shape == SHAPE_QUAD_SHIFT:
-        return IntPoly([a - 2, -a, 1])
-    raise ValueError(f"unknown a-factor shape {shape!r}")
-
-
 def build_candidate(plan: ConstructionPlan, a: int) -> IntPoly:
-    """The degree-t candidate trace polynomial: product of plan factors times the a-factor, minus 1."""
+    """The degree-t candidate trace polynomial: the plan's F times the a-factor, minus 1."""
     if a < 3:
         raise ValueError(f"a must be at least 3 (got {a})")
-    prod = IntPoly([1])
-    for f in plan.factors:
-        prod = prod * f
-    r = prod * _a_factor(plan.a_factor_shape, a) - 1
+    r = plan.fixed_product * _A_FACTORS[plan.a_factor_shape](a) - 1
     if r.degree != plan.t or not r.is_monic:
         raise RuntimeError(f"degree bookkeeping failed: built degree {r.degree}, expected {plan.t}")
     return r
@@ -292,20 +275,31 @@ def _quadratic_roots(f: IntPoly, bits: int) -> list[int]:
     return [((-b << bits) - s) >> 1, ((-b << bits) + s) >> 1]
 
 
-def _fixed_roots(construction: str, n: int, t: int) -> Optional[list[int]]:
+@lru_cache(maxsize=None)
+def _fixed_roots(construction: str, n: int, t: int) -> Optional[tuple[int, ...]]:
     """Numerators over 2^_PROBE_BITS of the roots of the plan's fixed factors, from their closed forms.
 
     None, before any root is computed, when (n, t) fails the plan's hypotheses
     or t = 3 + n/2 + 2l with l of the wrong parity for the construction.
     """
     l = (2 * t - n - 6) // 4
-    parity, extra = _L_PARITY_AND_EXTRA.get(construction, (None, ()))
+    parity, _, extra = _CONSTRUCTIONS.get(construction, (None, None, ()))
     if n < 1 or n % 8 != 4 or n % 5 == 0 or t % 2 == 0 or l < 0 or l % 2 != parity:
         return None
     roots = cyclo_trace_roots_dyadic(n, _PROBE_BITS) + cheb_roots_dyadic(2 * l - 2 * len(extra), _PROBE_BITS)
     for f in (_XX_MINUS_4, *extra):
         roots += _quadratic_roots(f, _PROBE_BITS)
-    return roots
+    return tuple(roots)
+
+
+def _product_roots(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int]]:
+    """Closed-form roots of P = F A_a over 2^_PROBE_BITS, ascending, and the index of A_a's small root, or None."""
+    fixed = None if a is None or a < 3 else _fixed_roots(construction, n, t)
+    if fixed is None:
+        return None
+    small, large = _quadratic_roots(_A_FACTORS[_CONSTRUCTIONS[construction][1]](a), _PROBE_BITS)
+    roots = sorted((*fixed, small, large))  # t roots, by the factors' degrees
+    return roots, roots.index(small)
 
 
 def interlacing_points(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int]]:
@@ -315,12 +309,10 @@ def interlacing_points(construction: str, n: int, t: int, a: Optional[int]) -> O
     one point past each end: T has a root on each side of an arch of P that
     peaks above 1.  They are hints; ``root_pattern`` proves what they show.
     """
-    fixed = None if a is None or a < 3 else _fixed_roots(construction, n, t)
-    if fixed is None:
+    found = _product_roots(construction, n, t, a)
+    if found is None:
         return None
-    shape = SHAPE_QUAD_UNIT if construction == QUAD_UNIT else SHAPE_QUAD_SHIFT
-    r = sorted(fixed + _quadratic_roots(_a_factor(shape, a), _PROBE_BITS))  # t roots, by the factors' degrees
-    one = 2 << _PROBE_BITS
+    r, one = found[0], 2 << _PROBE_BITS
     return [2 * r[0] - one, *(x + y for x, y in zip(r, r[1:])), 2 * r[-1] + one], one
 
 
@@ -399,16 +391,13 @@ def search(
     check_t(t)
     check_precision(precision_digits)
     plan = plan_construction(n, t)
-    fixed_roots = _fixed_roots(plan.construction, n, t)
     certificates: list[SalemCertificate] = []
     failures: list[tuple[int, str]] = []
     for a in range(a_min, a_max + 1):
         if len(certificates) >= want:
             break
         candidate = build_candidate(plan, a)
-        small, large = _quadratic_roots(_a_factor(plan.a_factor_shape, a), _PROBE_BITS)
-        roots = sorted(fixed_roots + [small, large])
-        if _pattern_rejection(candidate, roots, roots.index(small)) is not None:
+        if _pattern_rejection(candidate, *_product_roots(plan.construction, n, t, a)) is not None:
             failures.append((a, "root_pattern"))
             continue
         try:

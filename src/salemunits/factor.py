@@ -16,14 +16,15 @@ cyclotomic traces psi_m, and three exact gcds find one (Bradford & Davenport,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .intpoly import IntPoly, gcd_over_rationals
 from .roots import RootPattern
 
 _FILTER_PRIME_COUNT = 5
-SEPARABILITY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# the primes, in order, that the separability and filter tests try: the odd ones below 100, a bounded search
+SEPARABILITY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 KRONECKER = "kronecker-cyclotomic"
 
 
@@ -146,18 +147,13 @@ def _degree_multiset(f: Sequence[int], q: int) -> tuple[int, ...]:
 
 
 def _good_primes(p: IntPoly, count: int) -> list[int]:
-    """Smallest odd primes q not dividing disc(p), so reduction mod q stays squarefree.
+    """The first ``count`` primes of SEPARABILITY_PRIMES not dividing disc(p), or all there are.
 
-    For monic p that is gcd(p mod q, p' mod q) = 1, which avoids computing disc(p).
+    Reduction mod such a q stays squarefree.  For monic p that is
+    gcd(p mod q, p' mod q) = 1, which avoids computing disc(p).
     """
     dp = p.derivative()
-    out: list[int] = []
-    cand = 3
-    while len(out) < count:
-        if _is_prime(cand) and _coprime_mod(p, dp, cand):
-            out.append(cand)
-        cand += 2
-    return out
+    return list(islice((q for q in SEPARABILITY_PRIMES if _coprime_mod(p, dp, q)), count))
 
 
 def _coprime_mod(a: IntPoly, b: IntPoly, q: int) -> bool:
@@ -175,13 +171,7 @@ def separable_mod_prime(p: IntPoly) -> Optional[int]:
 
     For monic p of degree at least 1, such a q proves p separable.
     """
-    dp = p.derivative()
-    return next((q for q in SEPARABILITY_PRIMES if _coprime_mod(p, dp, q)), None)
-
-
-def _is_prime(n: int) -> bool:
-    """Trial division: the candidates are the small odd numbers _good_primes walks."""
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    return next(iter(_good_primes(p, 1)), None)
 
 
 def _filter_proves_irreducible(deg: int, multisets: Iterable[Iterable[int]]) -> bool:
@@ -247,7 +237,8 @@ def is_irreducible(p: IntPoly, pattern: RootPattern) -> IrreducibilityWitness:
     Returns a witness that can be re-verified from its stored detail alone
     (see :func:`verify_witness`).  Raises ValueError on non-monic,
     non-squarefree or constant input, and when the filter gives no verdict on
-    a polynomial without the Salem root pattern.
+    a polynomial without the Salem root pattern.  The filter gives none when
+    fewer than five primes of SEPARABILITY_PRIMES keep p squarefree.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a polynomial of degree at least 1")
@@ -257,14 +248,15 @@ def is_irreducible(p: IntPoly, pattern: RootPattern) -> IrreducibilityWitness:
         raise ValueError("polynomial must be squarefree")
     deg = int(p.degree)
     primes = _good_primes(p, _FILTER_PRIME_COUNT)
-    multisets = [_degree_multiset(p.coeffs, q) for q in primes]
-    if _filter_proves_irreducible(deg, multisets):
-        return IrreducibilityWitness(
-            verdict="irreducible",
-            method="modular-degree-filter",
-            primes=tuple(primes),
-            degree_multisets=tuple(multisets),
-        )
+    if len(primes) == _FILTER_PRIME_COUNT:
+        multisets = [_degree_multiset(p.coeffs, q) for q in primes]
+        if _filter_proves_irreducible(deg, multisets):
+            return IrreducibilityWitness(
+                verdict="irreducible",
+                method="modular-degree-filter",
+                primes=tuple(primes),
+                degree_multisets=tuple(multisets),
+            )
     return _zassenhaus(p, pattern)
 
 

@@ -11,7 +11,7 @@ import salemunits.trigpolys as trigpolys
 from salemunits.cli import main
 from salemunits.construct import MAX_A_SPAN, build_candidate, plan_construction, search
 from salemunits.intpoly import IntPoly
-from salemunits.salem import MAX_T
+from salemunits.salem import MAX_N, MAX_T
 
 
 def run(capsys, *argv):
@@ -280,6 +280,37 @@ class TestTBound:
         assert err.strip() == f"t must be between 1 and {MAX_T} (got {MAX_T + 2})"
 
 
+class TestGeneratorBounds:
+    """Each generator is bounded: a value past its bound exits 2 at once, with one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("cheb", "--k", "30000"), f"k must be at most {MAX_N} (got 30000)"),
+            (("ctrace", "--n", "3000"), f"n must be at most {2 * MAX_T} (got 3000)"),
+            (("plan", "--n", "12", "--t", "1003"), f"t must be between 1 and {MAX_T} (got 1003)"),
+            (("plan", "--n", "10004", "--t", "5005"), f"n must be between 1 and {MAX_N} (got 10004)"),
+        ],
+    )
+    def test_over_bound_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, bound", [(("cheb", "--k"), MAX_N), (("ctrace", "--n"), 2 * MAX_T), (("plan", "--n", "12", "--t"), MAX_T)]
+    )
+    def test_at_bound_runs(self, capsys, argv, bound):
+        code, out, err = run(capsys, *argv, str(bound))
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("command, bound", [("cheb", MAX_N), ("ctrace", 2 * MAX_T), ("plan", MAX_T)])
+    def test_help_states_bound_and_cost(self, capsys, command, bound):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"at most {bound}" in text and " s (" in text
+
+
 class TestCertifyDegreeBound:
     def test_help_states_degree_bound(self, capsys):
         with pytest.raises(SystemExit):
@@ -432,10 +463,10 @@ class TestCliFuzz:
 class TestDeepIndices:
     """Indices past the recursion limit of a recursive cheb build."""
 
-    def test_plan_t_1001(self, capsys):
+    def test_plan_t_1001_exits_2(self, capsys):
         code, out, err = run(capsys, "plan", "--n", "12", "--t", "1001")
-        assert code == 0 and err == ""
-        assert out.startswith("quad-unit k=248\n")
+        assert code == 2 and out == ""
+        assert err == f"t must be between 1 and {MAX_T} (got 1001)\n"
 
     def test_cheb_k_2000(self, capsys):
         code, out, err = run(capsys, "cheb", "--k", "2000")

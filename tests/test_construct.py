@@ -1,5 +1,7 @@
 """Dispatcher table, builders against independent expansion, and the search sweep."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -119,6 +121,35 @@ class TestDispatch:
                 # with symmetric roots this is the mod-5 criterion the
                 # dispatcher's hypotheses rely on
                 assert shares == (n % 5 == 0), n
+
+
+# every plan with n = 4 mod 8, 5 not dividing n, n <= 124 and odd t in [(n+6)/2, 79]
+TABLE_PLANS = [(n, t) for n in range(4, 125, 8) if n % 5 for t in range((n + 6) // 2, 80) if t % 2]
+# sha256 of json.dumps of their to_json_dict() list, sort_keys=True: reports embed the plan, so its bytes are fixed
+TABLE_PLANS_DIGEST = "b6df90494e00e3e6eef15207d1541cdabd7dd2ad9ac84d9e099ae8fafe297cbb"
+
+
+class TestConstructionTable:
+    def test_plans_unchanged(self):
+        plans = [plan_construction(n, t) for n, t in TABLE_PLANS]
+        assert len(plans) == 296
+        kinds = {plan.construction for plan in plans}
+        assert kinds == {QUAD_UNIT, QUAD_SHIFT, QUAD_SHIFT_GOLDEN, QUAD_SHIFT_GOLDEN_MIRROR}
+        data = json.dumps([plan.to_json_dict() for plan in plans], sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == TABLE_PLANS_DIGEST
+
+    def test_fixed_roots_isolate_the_roots_of_f(self):
+        # deg F numerators x over 2^32, F changing sign strictly across [x - 2, x + 2], these
+        # intervals disjoint: each holds exactly one root of F
+        den = 1 << construct._PROBE_BITS
+        for n, t in TABLE_PLANS:
+            plan = plan_construction(n, t)
+            f = plan.fixed_product.coeffs
+            fixed = sorted(construct._fixed_roots(plan.construction, n, t))
+            assert len(fixed) == plan.fixed_product.degree == t - 2, (n, t)
+            assert all(y - x > 4 for x, y in zip(fixed, fixed[1:])), (n, t)
+            for x in fixed:
+                assert roots._value_at(f, x - 2, den) * roots._value_at(f, x + 2, den) < 0, (n, t, x)
 
 
 class TestBuildCandidate:
@@ -311,13 +342,10 @@ class TestPatternPrecheck:
     def test_every_proof_checks(self):
         # each rejection the pre-check makes is a Laguerre point and a prime, and certify_trace agrees
         plan = plan_construction(44, 31)
-        fixed = construct._fixed_roots(plan.construction, plan.n, plan.t)
         proved = 0
         for a in range(3, 40):
             trace = build_candidate(plan, a)
-            small, large = construct._quadratic_roots(construct._a_factor(plan.a_factor_shape, a), construct._PROBE_BITS)
-            approx = sorted(fixed + [small, large])
-            proof = construct._pattern_rejection(trace, approx, approx.index(small))
+            proof = construct._pattern_rejection(trace, *construct._product_roots(plan.construction, 44, 31, a))
             if proof is None:
                 continue
             proved += 1

@@ -1,6 +1,8 @@
 """Irreducibility verdicts, witness replay, and agreement with an independent oracle."""
 
 import random
+import signal
+import time
 from dataclasses import replace
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_gcd, gf_mul, gf_strip
 
+from salemunits import factor
 from salemunits.construct import build_candidate, plan_construction
 from salemunits.factor import (
     KRONECKER,
@@ -18,7 +21,6 @@ from salemunits.factor import (
     _degree_multiset,
     _good_primes,
     _graeffe_trace,
-    _is_prime,
     _Packed,
     _zassenhaus,
     is_irreducible,
@@ -129,6 +131,10 @@ class TestKronecker:
             decide(IntPoly([1, 0, 0, 0, 1]))
 
 
+def _alarm(signum, frame):
+    raise TimeoutError("the call ran past its time limit")
+
+
 class TestPreconditions:
     def test_non_monic(self):
         with pytest.raises(ValueError):
@@ -143,6 +149,27 @@ class TestPreconditions:
             decide(IntPoly([5]))
         with pytest.raises(ValueError):
             is_irreducible(IntPoly(), RootPattern(0, 0, 0, 0, 0, 0, True))
+
+    def test_forged_separable_pattern_fails_fast(self):
+        # (x - 1)^2 (x^2 - 5x + 1) is squarefree mod no prime, and a forged pattern calls it separable
+        p = IntPoly([-1, 1]) ** 2 * IntPoly([1, -5, 1])
+        old = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(5)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="Kronecker"):
+                is_irreducible(p, RootPattern(0, 0, 1, 0, 1, 1, True))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert time.perf_counter() - start < 1
+
+    def test_too_few_primes_leave_the_verdict_to_kronecker(self, monkeypatch):
+        p = build_candidate(plan_construction(12, 9), 3)
+        assert decide(p).method == "modular-degree-filter"
+        monkeypatch.setattr(factor, "SEPARABILITY_PRIMES", SEPARABILITY_PRIMES[:4])
+        witness = decide(p)
+        assert (witness.verdict, witness.method, witness.primes) == ("irreducible", KRONECKER, ())
 
 
 class TestOracleAgreement:
@@ -363,14 +390,10 @@ class TestPackedKernel:
             assert k.gcd(k.pack(x), k.pack(y)) == k.pack(map(int, want[::-1]))
 
 
-def test_is_prime_matches_sympy():
-    assert [n for n in range(2000) if _is_prime(n) != sympy.isprime(n)] == []
-
-
-def _old_good_primes(p: IntPoly, count: int) -> list[int]:
-    """The discriminant rule: the smallest odd primes not dividing Res(p, p')."""
+def _table_good_primes(p: IntPoly, count: int) -> list[int]:
+    """The discriminant rule on the table: the smallest odd primes below 100 not dividing Res(p, p')."""
     disc = resultant(p, p.derivative())
-    return [q for q in range(3, 400, 2) if _is_prime(q) and disc % q != 0][:count]
+    return [q for q in range(3, 100, 2) if sympy.isprime(q) and disc % q != 0][:count]
 
 
 class TestGoodPrimes:
@@ -385,9 +408,19 @@ class TestGoodPrimes:
         # (x - r)(x - r - q*m) puts q into disc(p) whenever q > 1
         p = IntPoly(low + [1]) * IntPoly([-r, 1]) * IntPoly([-(r + q * m), 1])
         assume(resultant(p, p.derivative()) != 0)
-        expected = _old_good_primes(p, 5)
-        assume(len(expected) == 5)
-        assert _good_primes(p, 5) == expected
+        assert _good_primes(p, 5) == _table_good_primes(p, 5)
+
+    def test_table_is_the_odd_primes_below_100(self):
+        assert SEPARABILITY_PRIMES == tuple(sympy.primerange(3, 100))
+
+    def test_fewer_than_count(self):
+        # every table prime below 50 divides the discriminant of (x - 1)(x - 1 - prod)
+        prod = 1
+        for q in SEPARABILITY_PRIMES[:14]:
+            prod *= q
+        p = IntPoly([-1, 1]) * IntPoly([-1 - prod, 1])
+        assert _good_primes(p, 5) == _table_good_primes(p, 5) == [53, 59, 61, 67, 71]
+        assert _good_primes(p * IntPoly([-1, 1]), 5) == []
 
 
 class TestSeparableModPrime:
