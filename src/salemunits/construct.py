@@ -11,15 +11,13 @@ closed-form count alone; formula and Sturm count must agree or the run aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, prod
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .factor import separable_mod_prime
 from .intpoly import IntPoly, gcd_over_rationals
-from .roots import _laguerre_fails, _value_at, root_pattern, sturm_count_open
+from .roots import _value_at, root_pattern, sturm_count_open
 from .salem import (
     DEFAULT_PRECISION,
     CertificationError,
@@ -60,13 +58,8 @@ _CONSTRUCTIONS = MappingProxyType({
     QUAD_SHIFT_GOLDEN_MIRROR: (1, SHAPE_QUAD_SHIFT, (IntPoly([-1, -1, 1]),)),  # x^2 - x - 1, its mirror image
 })
 
-# The root-pattern pre-check of ``search``: roots of P approximated on the grid
-# 2^-_PROBE_BITS; _PROBE_ARCHES positive arches of P probed (the one at the
-# a-factor's small root, then the narrowest), each by _PROBE_STEPS bisections
-# on the sign of T' towards its peak.
+# the closed-form roots of a candidate's P are numerators over 2^_PROBE_BITS, each within 2^-_PROBE_BITS
 _PROBE_BITS = 32
-_PROBE_ARCHES = 8
-_PROBE_STEPS = 6
 # a search sweeps fewer than this many values of a; each costs a candidate, see the CLI help
 MAX_A_SPAN = 10_000
 
@@ -292,76 +285,17 @@ def _fixed_roots(construction: str, n: int, t: int) -> Optional[tuple[int, ...]]
     return tuple(roots)
 
 
-def _product_roots(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int]]:
-    """Closed-form roots of P = F A_a over 2^_PROBE_BITS, ascending, and the index of A_a's small root, or None."""
+def product_roots(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int]]:
+    """The closed-form roots of P = F A_a, for the candidate T = P - 1, as (ascending numerators, 2^_PROBE_BITS).
+
+    None when (n, t, a) is not a candidate of the construction.  They are the
+    hints of ``root_pattern``, which decides T's pattern from them.
+    """
     fixed = None if a is None or a < 3 else _fixed_roots(construction, n, t)
     if fixed is None:
         return None
-    small, large = _quadratic_roots(_A_FACTORS[_CONSTRUCTIONS[construction][1]](a), _PROBE_BITS)
-    roots = sorted((*fixed, small, large))  # t roots, by the factors' degrees
-    return roots, roots.index(small)
-
-
-def interlacing_points(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int]]:
-    """(numerators, denominator) of points meant to separate the t roots of the candidate T = P - 1, or None.
-
-    They are the midpoints of consecutive closed-form roots of P = F A_a, and
-    one point past each end: T has a root on each side of an arch of P that
-    peaks above 1.  They are hints; ``root_pattern`` proves what they show.
-    """
-    found = _product_roots(construction, n, t, a)
-    if found is None:
-        return None
-    r, one = found[0], 2 << _PROBE_BITS
-    return [2 * r[0] - one, *(x + y for x, y in zip(r, r[1:])), 2 * r[-1] + one], one
-
-
-def _laguerre_point(trace: IntPoly, roots: list[int], moving: int) -> Optional[Fraction]:
-    """A point where Laguerre's inequality fails for T = P - 1, or None.
-
-    ``roots`` approximate the roots of P, ascending, and ``moving`` is the
-    index of the small root of the a-factor among them.  Where an arch of P
-    (an interval between consecutive roots, with P > 0) peaks below 1, T has
-    a negative local maximum, and the inequality fails near it.  The arch at
-    the moving root and the narrowest arches are the likeliest to be that low.
-    """
-    f, t, shift = trace.coeffs, len(roots), _PROBE_STEPS
-    den = 1 << (_PROBE_BITS + shift)
-    # P > 0 between roots i and i + 1 when an even number of roots lie above them
-    first = moving - (t - 1 - moving) % 2  # the positive arch that starts or ends at the moving root
-    arches = sorted(range((t - 1) % 2, t - 1, 2), key=lambda i: (i != first, roots[i + 1] - roots[i]))
-    d1 = d2 = None
-    for i in arches[:_PROBE_ARCHES]:
-        lo, hi = roots[i] << shift, roots[i + 1] << shift
-        mid = (lo + hi) >> 1
-        if _value_at(f, mid, den) >= 0:
-            continue  # P >= 1 at the midpoint: the arch holds two roots of T
-        if d1 is None:
-            dp = trace.derivative()
-            d1, d2 = dp.coeffs, dp.derivative().coeffs
-        for _ in range(_PROBE_STEPS):
-            if _value_at(d1, mid, den) > 0:  # T' = P' > 0 left of the peak
-                lo = mid
-            else:
-                hi = mid
-            mid = (lo + hi) >> 1
-        if _laguerre_fails(f, d1, d2, mid, den):
-            return Fraction(mid, den)
-    return None
-
-
-def _pattern_rejection(trace: IntPoly, roots: list[int], moving: int) -> Optional[tuple[Fraction, int]]:
-    """A proof that ``certify_trace`` rejects the monic trace at ``root_pattern``, or None.
-
-    The proof is (x, q): Laguerre's inequality fails at x, so T is not
-    real-rooted and has no Salem pattern, and gcd(T mod q, T' mod q) = 1, so
-    T is separable and passes the check before it.
-    """
-    x = _laguerre_point(trace, roots, moving)
-    if x is None:
-        return None
-    q = separable_mod_prime(trace)
-    return None if q is None else (x, q)
+    quadratic = _quadratic_roots(_A_FACTORS[_CONSTRUCTIONS[construction][1]](a), _PROBE_BITS)
+    return sorted((*fixed, *quadratic)), 1 << _PROBE_BITS  # t roots, by the factors' degrees
 
 
 def search(
@@ -374,12 +308,9 @@ def search(
 ) -> SearchReport:
     """Sweep a over [a_min, a_max], certifying each candidate, until ``want`` certificates.
 
-    Every failure is recorded with its first failed check.  Most candidates
-    that fail the root pattern are rejected by a one-point proof
-    (``_pattern_rejection``) without a Sturm chain; the rest go through
-    ``certify_trace``, with the same verdict either way.  Deterministic:
-    identical inputs produce the identical report.  An empty result is a
-    report, not an error.
+    Each candidate goes through ``certify_trace``, and every failure is
+    recorded with its first failed check.  Deterministic: identical inputs
+    produce the identical report.  An empty result is a report, not an error.
     """
     if a_min < 3:
         raise ValueError("a_min must be at least 3")
@@ -397,9 +328,6 @@ def search(
         if len(certificates) >= want:
             break
         candidate = build_candidate(plan, a)
-        if _pattern_rejection(candidate, *_product_roots(plan.construction, n, t, a)) is not None:
-            failures.append((a, "root_pattern"))
-            continue
         try:
             cert = certify_trace(
                 candidate, n, construction=plan.construction, a=a, precision_digits=precision_digits

@@ -260,13 +260,13 @@ def is_irreducible(p: IntPoly, pattern: RootPattern) -> IrreducibilityWitness:
     return _zassenhaus(p, pattern)
 
 
-def verify_witness(p: IntPoly, witness: IrreducibilityWitness, pattern: RootPattern) -> bool:
+def verify_witness(p: IntPoly, witness: IrreducibilityWitness, pattern: Optional[RootPattern]) -> bool:
     """Replay a witness from its stored detail without re-deciding.
 
     Reducible: one exact division.  Filter: recompute the subset-sum
     intersection from the stored degree multisets.  Kronecker (and the legacy
     exact-factorization method): check that ``pattern``, which the caller
-    proved for p, is Salem's, then run the three gcds.
+    proved for p, is Salem's, then run the three gcds; None is a refuted pattern.
     """
     if witness.verdict == "reducible":
         f = witness.factor
@@ -288,5 +288,5 @@ def verify_witness(p: IntPoly, witness: IrreducibilityWitness, pattern: RootPatt
                 return False
         return _filter_proves_irreducible(deg, witness.degree_multisets)
     if witness.method in (KRONECKER, "exact-factorization"):
-        return p.is_monic and pattern.is_salem(int(p.degree)) and _cyclotomic_factor(p) is None
+        return p.is_monic and pattern is not None and pattern.is_salem(int(p.degree)) and _cyclotomic_factor(p) is None
     return False

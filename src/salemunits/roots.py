@@ -5,9 +5,10 @@ exact endpoint evaluation.  A chain is the subresultant pseudo-remainder
 sequence of (f, f') from the one kernel in ``intpoly``: each step divides by a
 known exact divisor instead of taking a content gcd, and each element is
 signed so the sequence is a genuine Sturm chain.  Each query builds its own
-chain, if it needs one: sign changes at given points can prove the root
-pattern, and at an interval's ends let ``refine`` work on p alone.  A caller
-proves a polynomial's ``RootPattern`` once and passes that value on.
+chain, if it needs one: the hinted roots of a nearby real-rooted polynomial
+can decide the root pattern, and sign changes at an interval's ends let
+``refine`` work on p alone.  A caller proves a polynomial's ``RootPattern``
+once and passes that value on.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .intpoly import IntPoly, subresultant_prs
+
+# bisections of the walk along p' from a wrongly signed arch midpoint towards the arch's peak
+_WALK_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -334,43 +338,82 @@ def _refine_on_grid(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, levels:
     return IsolatingInterval(point(j, k), point(j + 1, k))
 
 
-def _interlacing_pattern(f: tuple[int, ...], nums: Sequence[int], den: int) -> Optional[RootPattern]:
-    """The pattern of f, of degree t >= 1, from t sign changes across the points num/den; else None.
+def _hinted_pattern(
+    p: IntPoly, nums: Sequence[int], den: int
+) -> tuple[Optional[RootPattern], Optional[tuple[Fraction, int]]]:
+    """Decide the pattern of p, of degree t >= 1, from hints: t roots num/den of a monic P, p = P - 1 in mind.
 
-    The marks -2, 0, 1 and 2 join the points, and f must be nonzero at each.
-    Each change, from the sign at -inf on, puts a root in its gap, so t of
-    them prove t simple real roots, whatever the points; the marks split them.
+    Returns (pattern, None) when p changes sign strictly t times across the
+    points, (None, (x, q)) when it refutes real-rootedness, else (None, None).
+    The points are the midpoints of consecutive hints, one past each end and
+    the marks -2, 0, 1 and 2, each evaluated once.  Each sign change, from the
+    sign at -inf on, puts a root in its gap, so t of them prove t simple real
+    roots, whatever the points; the marks split them.  The midpoints of the
+    positive arches of P (P > 0 between two hints) come first, narrowest
+    first: p = P - 1 < 0 there means the arch may peak below 1, where p has a
+    negative local maximum.  Then the walk climbs along p' and tests
+    Laguerre's inequality; a failure at x, with a prime q that proves the
+    monic p separable (``separable_mod_prime``), is the refutation.
     """
-    t = len(f) - 1
+    f, t = p.coeffs, len(p.coeffs) - 1
+    if len(nums) != t or den < 1:
+        return None, None
+    r, one = sorted(nums), 2 * den  # points are numerators over 2 den
+    mids = [x + y for x, y in zip(r, r[1:])]
+    values, d1 = {}, None
+    for i in sorted(range((t - 1) % 2, t - 1, 2), key=lambda i: r[i + 1] - r[i]):
+        v = values[mids[i]] = _value_at(f, mids[i], one)
+        if v >= 0 or f[-1] != 1:
+            continue
+        if d1 is None:
+            dp = p.derivative()
+            d1, d2 = dp.coeffs, dp.derivative().coeffs
+        wden, lo, hi = den << _WALK_STEPS, r[i] << _WALK_STEPS, r[i + 1] << _WALK_STEPS
+        mid = (lo + hi) >> 1
+        for _ in range(_WALK_STEPS):
+            if _value_at(d1, mid, wden) > 0:  # p' > 0 left of the peak
+                lo = mid
+            else:
+                hi = mid
+            mid = (lo + hi) >> 1
+        if _laguerre_fails(f, d1, d2, mid, wden):
+            from .factor import separable_mod_prime  # factor imports this module
+
+            q = separable_mod_prime(p)  # without it the chain decides: p is not real-rooted either way
+            return None, None if q is None else (Fraction(mid, wden), q)
     upto, changes, prev = {}, 0, f[-1] if t % 2 == 0 else -f[-1]
-    marks = (-2 * den, 0, den, 2 * den)
-    for x in sorted({*nums, *marks}):
-        v = _value_at(f, x, den)
+    marks = (-2 * one, 0, one, 2 * one)
+    for x in sorted({2 * r[0] - one, *mids, 2 * r[-1] + one, *marks}):
+        v = values[x] if x in values else _value_at(f, x, one)
         if v == 0:
-            return None
+            return None, None
         changes += (v > 0) != (prev > 0)
         upto[x], prev = changes, v
     if changes != t:
-        return None
+        return None, None
     below, c0, c1, c2 = (upto[x] for x in marks)
-    return RootPattern(below, 0, c2 - below, 0, t - c2, c1 - c0, True)
+    return RootPattern(below, 0, c2 - below, 0, t - c2, c1 - c0, True), None
 
 
-def root_pattern(p: IntPoly, points: Optional[tuple[Sequence[int], int]] = None) -> RootPattern:
+def root_pattern(p: IntPoly, hints: Optional[tuple[Sequence[int], int]] = None) -> Optional[RootPattern]:
     """Classify all distinct real roots of p against the marks -2, 0, 1, 2.
 
-    When p changes sign strictly across the hints ``points`` = (numerators,
-    denominator), that proves the pattern (``_interlacing_pattern``).  Else the
-    chain is read once at each mark: at -inf and +inf from its leading
-    coefficients, and at -2, 0, 1 and 2 by integer evaluation.
+    ``hints`` = (numerators, denominator) are the t = deg p roots of a monic
+    real-rooted P with p = P - 1 in mind; other hints are ignored.  They prove
+    the pattern by sign changes, or, for monic p, return None: "separable and
+    not real-rooted", by Laguerre's inequality and a prime (``_hinted_pattern``).
+    Every answer is exact whatever the hints.  Else the chain is read once at
+    each mark: at -inf and +inf from its leading coefficients, and at -2, 0, 1
+    and 2 by integer evaluation.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return RootPattern(0, 0, 0, 0, 0, 0, True)
-    pattern = None if points is None else _interlacing_pattern(p.coeffs, *points)
-    if pattern is not None:
-        return pattern
+    if hints is not None:
+        pattern, refutation = _hinted_pattern(p, *hints)
+        if pattern is not None or refutation is not None:
+            return pattern
     chain = SturmChain(p)
     f = chain.squarefree
     at_neg2 = 1 if _value_at(f, -2, 1) == 0 else 0

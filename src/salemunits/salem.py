@@ -239,11 +239,13 @@ def certify_trace(
 
     Check order: monic/degree gates, separability, root pattern,
     irreducibility, reciprocal lift, unit resultant.  All arithmetic is exact.
-    The pattern of a constructed candidate, and with it separability, is
-    proved by interlacing sign changes, with no Sturm chain; an external
-    trace's by one chain.  The irreducibility check reads that pattern.
+    A constructed candidate's pattern, and with it separability, is decided
+    from the closed-form roots of its P by ``root_pattern``, with no Sturm
+    chain as a rule; an external trace's by one chain.  A candidate refuted
+    there raises ``root_pattern`` with no pattern in its data.  The
+    irreducibility check reads the pattern.
     """
-    from .construct import interlacing_points  # construct imports this module
+    from .construct import product_roots  # construct imports this module
 
     check_n(n)
     check_precision(precision_digits)
@@ -255,14 +257,15 @@ def certify_trace(
             "degree", f"trace degree {t} < 2; a Salem minimal polynomial has degree 2t >= 4"
         )
 
-    pattern = root_pattern(trace, interlacing_points(construction, n, t, a))
-    if not pattern.separable:
+    # None: separable, with a non-real root
+    pattern = root_pattern(trace, product_roots(construction, n, t, a))
+    if pattern is not None and not pattern.separable:
         raise CertificationError("separability", "trace polynomial has a repeated root")
-    if not pattern.is_salem(t):
+    if pattern is None or not pattern.is_salem(t):
         raise CertificationError(
             "root_pattern",
-            f"expected 1 root above 2 and {t - 1} in (-2,2); got {pattern}",
-            {"pattern": pattern.to_json_dict()},
+            f"expected 1 root above 2 and {t - 1} in (-2,2); got {pattern or 'a non-real root'}",
+            {} if pattern is None else {"pattern": pattern.to_json_dict()},
         )
 
     witness = is_irreducible(trace, pattern)
@@ -338,11 +341,12 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     polynomial; the irreducibility witness is replayed from its detail; the
     beta interval is checked to bracket the one root above 2, by a sign change
     of T, and to lie in (a-1, a), by one there, when a is recorded.  A
-    constructed candidate's pattern is proved at points recomputed from its
-    construction, n, t and a; they are hints, so a forged field can only send
-    the replay to the Sturm chain, as an external trace goes.
+    constructed candidate's pattern is decided from the roots of P recomputed
+    from its construction, n, t and a; they are hints, so a forged field can
+    only send the replay to the Sturm chain, as an external trace goes.  A
+    pattern refuted there (None) fails as a non-Salem one does.
     """
-    from .construct import interlacing_points  # construct imports this module
+    from .construct import product_roots  # construct imports this module
 
     failures: list[str] = []
     trace, n, t = cert.trace_poly, cert.n, cert.t
@@ -351,8 +355,9 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
         return ["degree"]
     if lift_trace(trace, t) != cert.min_poly or not is_reciprocal(cert.min_poly):
         failures.append("lift")
-    pattern = root_pattern(trace, interlacing_points(cert.construction, n, t, cert.a))
-    if pattern != cert.root_pattern or not pattern.is_salem(t):
+    pattern = root_pattern(trace, product_roots(cert.construction, n, t, cert.a))
+    salem = pattern is not None and pattern.is_salem(t)
+    if not salem or pattern != cert.root_pattern:
         failures.append("root_pattern")
     # the witness is replayed against the pattern proved here, never the stored one
     if cert.irreducibility.verdict != "irreducible" or not verify_witness(trace, cert.irreducibility, pattern):
@@ -372,7 +377,7 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
         # with the Salem pattern T has one root above 2 and T(2) != 0, so a
         # strict sign change on [lo, hi] with 2 <= lo < hi brackets that root
         if (
-            not pattern.is_salem(t)
+            not salem
             or not 2 <= iv.lo < iv.hi
             or _sign_at(trace.coeffs, iv.lo) * _sign_at(trace.coeffs, iv.hi) >= 0
         ):

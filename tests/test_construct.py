@@ -313,12 +313,13 @@ class TestSearch:
 
 
 class TestPatternPrecheck:
-    """search rejects most root-pattern failures by a Laguerre point and a prime, with the same report."""
+    """certify_trace rejects most root-pattern failures by a Laguerre point and a prime, with the same report."""
 
     @pytest.mark.parametrize("n,t", [(12, 9), (28, 23), (36, 25), (44, 31), (44, 35)])
     def test_reports_byte_identical(self, n, t, monkeypatch):
         with_check = search(n, t, want=5).to_json_dict()
-        monkeypatch.setattr(construct, "_pattern_rejection", lambda *args: None)
+        # without the Laguerre step every rejection is the Sturm chain's
+        monkeypatch.setattr(roots, "_laguerre_fails", lambda *args: False)
         without = search(n, t, want=5).to_json_dict()
         assert with_check == without
 
@@ -340,21 +341,35 @@ class TestPatternPrecheck:
         assert len(built) <= 108 // 10
 
     def test_every_proof_checks(self):
-        # each rejection the pre-check makes is a Laguerre point and a prime, and certify_trace agrees
+        # each refutation the hints give is a Laguerre point and a prime, and the chain's verdict agrees
         plan = plan_construction(44, 31)
         proved = 0
         for a in range(3, 40):
             trace = build_candidate(plan, a)
-            proof = construct._pattern_rejection(trace, *construct._product_roots(plan.construction, 44, 31, a))
+            _, proof = roots._hinted_pattern(trace, *construct.product_roots(plan.construction, 44, 31, a))
             if proof is None:
                 continue
             proved += 1
             x, q = proof
             assert laguerre_fails(trace, x) and q in SEPARABILITY_PRIMES
             with pytest.raises(CertificationError) as err:
-                certify_trace(build_candidate(plan, a), 44)
+                certify_trace(build_candidate(plan, a), 44)  # an external trace: the chain decides
             assert err.value.check == "root_pattern"
         assert proved == 26  # every a below 29
+
+    def test_search_certifies_every_candidate(self, monkeypatch):
+        # search makes no decision of its own: each a goes through certify_trace once
+        seen = []
+        certify = construct.certify_trace
+
+        def counting(trace, n, **kwargs):
+            seen.append(kwargs["a"])
+            return certify(trace, n, **kwargs)
+
+        monkeypatch.setattr(construct, "certify_trace", counting)
+        report = search(92, 61, 3, 110, 5)
+        assert seen == list(range(3, 111))
+        assert report.failures == tuple((a, "root_pattern") for a in range(3, 111))
 
     def test_fixed_roots_match_factors(self):
         for n, t in [(4, 7), (12, 9), (28, 23), (36, 25), (44, 31), (44, 35), (92, 61), (124, 71)]:

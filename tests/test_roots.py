@@ -17,8 +17,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemunits import roots
-from salemunits.construct import build_candidate, interlacing_points, plan_construction, search
-from salemunits.intpoly import IntPoly, pseudo_rem
+from salemunits.construct import build_candidate, plan_construction, product_roots, search
+from salemunits.factor import SEPARABILITY_PRIMES
+from salemunits.intpoly import IntPoly, lift_trace, pseudo_rem
 from salemunits.roots import (
     IsolatingInterval,
     RootPattern,
@@ -377,12 +378,35 @@ class TestChainSharing:
         return counts
 
     def test_rejected_candidate(self, plan, counts):
+        # refuted by a Laguerre point and a prime, inside root_pattern
         candidate = build_candidate(plan, 5)
         counts.clear()
         with pytest.raises(CertificationError) as err:
             certify_trace(candidate, 44, construction=plan.construction, a=5)
         assert err.value.check == "root_pattern"
-        assert counts == {"chains": 1}
+        assert not counts
+
+    @pytest.mark.parametrize("n,t,a_values", [(44, 31, range(3, 29)), (92, 61, range(3, 110, 2))])
+    def test_sweep_rejections_build_no_chain(self, n, t, a_values, counts):
+        # every root-pattern rejection of the benchmark's sweep
+        plan = plan_construction(n, t)
+        for a in a_values:
+            candidate = build_candidate(plan, a)
+            counts.clear()
+            with pytest.raises(CertificationError) as err:
+                certify_trace(candidate, n, construction=plan.construction, a=a)
+            assert err.value.check == "root_pattern" and err.value.data == {}, a
+            assert not counts, a
+
+    def test_swapped_trace_fails_replay_without_chain(self, plan, counts):
+        # a certificate for a = 29 carrying the trace and lift of a = 5: the hints refute its pattern
+        cert = certify_trace(build_candidate(plan, 29), 44, construction=plan.construction, a=29)
+        trace = build_candidate(plan, 5)
+        forged = dataclasses.replace(cert, trace_poly=trace, min_poly=lift_trace(trace, 31))
+        counts.clear()
+        failures = verify_certificate(forged)
+        assert "root_pattern" in failures and "lift" not in failures
+        assert not counts
 
     def test_certified_candidate(self, plan, counts):
         # the pattern is proved by interlacing sign changes, and beta refined from (2, B]
@@ -555,6 +579,17 @@ class TestSubresultantChain:
         assert [c.degree for c in _reference_sturm_chain(p)[0]] == [5, 4, 1, 0]
 
 
+def _real_roots(pattern: RootPattern) -> int:
+    """The distinct real roots a pattern counts."""
+    return pattern.below_neg2 + pattern.at_neg2 + pattern.in_neg2_2 + pattern.at_pos2 + pattern.above_pos2
+
+
+def _over_one_denominator(xs: list[Fraction]) -> tuple[list[int], int]:
+    """Hints (numerators, denominator) for the rationals xs."""
+    den = math.lcm(*(x.denominator for x in xs)) if xs else 1
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _pattern_runs(runs: list[tuple[int, int, int]]) -> list[dict]:
     """Expand runs of (count, in_neg2_2, in_0_1); every other field is the same on these plans."""
     out = []
@@ -611,23 +646,28 @@ class TestInterlacingPattern:
     MISSED = {(28, 23, 32)}
 
     def test_agrees_with_chain(self):
-        constructions, missed, proved = set(), set(), 0
+        # a proved pattern is the chain's, and a refuted one is separable and not real-rooted
+        constructions, missed, proved, refuted = set(), set(), 0, 0
         for n, t, a_range in self.PLANS:
             plan = plan_construction(n, t)
             constructions.add(plan.construction)
             for a in a_range:
                 trace = build_candidate(plan, a)
-                points = interlacing_points(plan.construction, n, t, a)
-                assert points is not None and len(points[0]) == t + 1
-                by_points = roots._interlacing_pattern(trace.coeffs, *points)
+                hints = product_roots(plan.construction, n, t, a)
+                assert hints is not None and len(hints[0]) == t
+                by_hints, refutation = roots._hinted_pattern(trace, *hints)
                 by_chain = root_pattern(trace)
-                if by_points is not None:
-                    assert by_points == by_chain, (n, t, a)
+                if by_hints is not None:
+                    assert by_hints == by_chain, (n, t, a)
                     proved += 1
+                elif refutation is not None:
+                    assert by_chain.separable and _real_roots(by_chain) < t, (n, t, a)
+                    refuted += 1
                 elif by_chain.is_salem(t):
                     missed.add((n, t, a))
         assert missed == self.MISSED
         assert proved == 264 and len(constructions) == 4
+        assert refuted > 0
 
     def test_root_pattern_reads_points_first(self, monkeypatch):
         plan = plan_construction(44, 31)
@@ -635,12 +675,14 @@ class TestInterlacingPattern:
         built = []
         init = SturmChain.__init__
         monkeypatch.setattr(SturmChain, "__init__", lambda self, p: built.append(p) or init(self, p))
-        pattern = root_pattern(trace, interlacing_points(plan.construction, 44, 31, 29))
+        pattern = root_pattern(trace, product_roots(plan.construction, 44, 31, 29))
         assert pattern.is_salem(31) and built == []
-        # points that prove nothing leave the decision to the chain
-        by_points = root_pattern(rejected, interlacing_points(plan.construction, 44, 31, 5))
+        nums, den = product_roots(plan.construction, 44, 31, 5)
+        assert root_pattern(rejected, (nums, den)) is None and built == []
+        # hints that decide nothing, here one too few, leave the decision to the chain
+        by_hints = root_pattern(rejected, (nums[1:], den))
         assert built == [rejected]
-        assert by_points == root_pattern(rejected)
+        assert by_hints == root_pattern(rejected)
 
     @pytest.mark.parametrize(
         "construction, n, t, a",
@@ -659,7 +701,7 @@ class TestInterlacingPattern:
         ],
     )
     def test_no_points_outside_the_plans(self, construction, n, t, a):
-        assert interlacing_points(construction, n, t, a) is None
+        assert product_roots(construction, n, t, a) is None
 
     @given(
         st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 5)), min_size=1, max_size=9),
@@ -669,21 +711,44 @@ class TestInterlacingPattern:
     )
     @settings(max_examples=300, deadline=None)
     def test_sound_for_any_points(self, factors, scale, extra, separating):
-        # products of linear factors (d x - c), repeated roots allowed; the points either
-        # separate the distinct roots or are arbitrary, and a proof must match the chain
+        # products of linear factors (d x - c), repeated roots allowed; the hints are either
+        # p's own roots, whose midpoints separate them, or arbitrary, and a proof must match the chain
         p = IntPoly([scale])
         for c, d in factors:
             p = p * IntPoly([-c, d])
-        xs = list(extra)
-        if separating:
-            rs = sorted({Fraction(c, d) for c, d in factors})
-            xs += [rs[0] - 1, rs[-1] + 1] + [(x + y) / 2 for x, y in zip(rs, rs[1:])]
-        den = math.lcm(*(x.denominator for x in xs)) if xs else 1
-        nums = [x.numerator * (den // x.denominator) for x in xs]
-        pattern = roots._interlacing_pattern(p.coeffs, nums, den)
+        hints = sorted(Fraction(c, d) for c, d in factors) if separating else extra[: len(factors)]
+        pattern, refutation = roots._hinted_pattern(p, *_over_one_denominator(hints))
+        assert refutation is None  # p is real-rooted
         if pattern is not None:
             assert pattern == root_pattern(p)
-        points = set(xs) | {Fraction(m) for m in (-2, 0, 1, 2)}
-        roots_p = {Fraction(c, d) for c, d in factors}
-        if separating and len(roots_p) == len(factors) and not roots_p & points:
+        roots_p = set(hints)
+        if separating and len(roots_p) == len(factors) and not roots_p & {Fraction(m) for m in (-2, 0, 1, 2)}:
             assert pattern == root_pattern(p)  # simple roots off the points, each in its own gap
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=2, max_size=8),
+        st.sampled_from([1, 1, 1, -1, 2]),
+        st.integers(-1, 3),
+        st.one_of(st.none(), st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=16), max_size=9)),
+    )
+    @example([-1, 0, 1], 1, 1, None)  # x^3 - x - 1: its arch peaks below 1, refuted
+    @example([-1, 0, 1], 2, 1, None)  # non-monic: no refutation, the hints still decide or defer
+    @example([1, 1, -1, 2], 1, 0, None)  # a repeated root
+    @settings(max_examples=300, deadline=None)
+    def test_hinted_decision_is_sound(self, zeros, lc, shift, other):
+        # p = lc P - shift for P = prod (x - z); the hints are P's roots or arbitrary
+        p = IntPoly([lc])
+        for z in zeros:
+            p = p * IntPoly([-z, 1])
+        p = p - shift
+        t = int(p.degree)
+        hints = _over_one_denominator([Fraction(z) for z in zeros] if other is None else other[: len(zeros)])
+        pattern, refutation = roots._hinted_pattern(p, *hints)
+        by_chain = root_pattern(p)
+        if pattern is not None:
+            assert refutation is None and pattern == by_chain
+        if refutation is not None:
+            x, q = refutation
+            assert p.is_monic and laguerre_fails(p, x) and q in SEPARABILITY_PRIMES
+            assert by_chain.separable and _real_roots(by_chain) < t
+        assert root_pattern(p, hints) == (None if refutation is not None else by_chain)
