@@ -23,9 +23,7 @@ from .salem import (
     CertificationError,
     SalemCertificate,
     certify_trace,
-    check_n,
-    check_precision,
-    check_t,
+    check_bounds,
 )
 from .trigpolys import (
     cheb,
@@ -318,9 +316,7 @@ def search(
         raise ValueError("a_max must be at least a_min")
     if a_max - a_min >= MAX_A_SPAN:
         raise ValueError(f"a_max - a_min must be less than {MAX_A_SPAN} (got {a_max - a_min})")
-    check_n(n)
-    check_t(t)
-    check_precision(precision_digits)
+    check_bounds(n=n, t=t, digits=precision_digits)
     plan = plan_construction(n, t)
     certificates: list[SalemCertificate] = []
     failures: list[tuple[int, str]] = []

@@ -258,41 +258,28 @@ def subresultant_prs(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[list[
 def resultant(p: IntPoly, q: IntPoly) -> int:
     """Resultant with the convention Res(p, q) = lc(q)^deg(p) * prod p(roots of q).
 
-    Computed exactly by the subresultant pseudo-remainder sequence; constants
-    follow Res(c, q) = c^deg(q).
+    Computed exactly by the subresultant pseudo-remainder sequence (Cohen,
+    Alg. 3.3.7); constants follow Res(c, q) = c^deg(q).
     """
     if p.is_zero or q.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
-    return _resultant_std(q, p)
-
-
-def _resultant_std(a: IntPoly, b: IntPoly) -> int:
-    # Standard convention: Res(a, b) = lc(a)^deg(b) * prod b(roots of a),
-    # via the subresultant PRS (Cohen, Alg. 3.3.7).
-    if a.degree == 0:
-        return a.coeffs[0] ** int(b.degree)
-    if b.degree == 0:
-        return b.coeffs[0] ** int(a.degree)
-    s = 1
-    if a.degree < b.degree:
-        if (int(a.degree) % 2 == 1) and (int(b.degree) % 2 == 1):
-            s = -1
-        a, b = b, a
-    ca, cb = a.content(), b.content()
-    a, b = a.primitive(), b.primitive()
-    t = ca ** int(b.degree) * cb ** int(a.degree)
+    if q.degree == 0:
+        return q.coeffs[0] ** int(p.degree)
+    if p.degree == 0:
+        return p.coeffs[0] ** int(q.degree)
+    # Res(p, q) = R(q, p) for R(a, b) = lc(a)^deg(b) * prod b(roots of a), and the PRS
+    # needs deg a >= deg b; a swap multiplies R by (-1)^(deg a * deg b)
+    a, b = (q, p) if q.degree >= p.degree else (p, q)
     da, db = int(a.degree), int(b.degree)
-    for r, _, _, h in subresultant_prs(a.coeffs, b.coeffs):
-        if da % 2 == 1 and db % 2 == 1:
+    s = -1 if q.degree < p.degree and da * db % 2 else 1
+    t = a.content() ** db * b.content() ** da
+    for r, _, _, h in subresultant_prs(a.primitive().coeffs, b.primitive().coeffs):
+        if da * db % 2:
             s = -s
         da, db = db, len(r) - 1
     if db > 0:
         return 0  # a zero remainder came before a constant
-    # h <- h^(1-deg a) lc(b)^(deg a), exact in Z
-    num = r[0] ** da
-    den = h ** (da - 1)
-    assert num % den == 0
-    return s * t * (num // den)
+    return s * t * _hpow(r[0], h, da)
 
 
 def _hpow(g: int, h: int, delta: int) -> int:

@@ -28,13 +28,12 @@ _WALK_STEPS = 6
 class IsolatingInterval:
     """Rational interval certified to contain exactly one root of a polynomial.
 
-    When the root is rational and hit exactly, ``exact_root`` is set and
-    lo == hi == root; otherwise lo < hi and the root lies in (lo, hi].
+    lo == hi is a rational root hit exactly; otherwise lo < hi and the root
+    lies in (lo, hi].
     """
 
     lo: Fraction
     hi: Fraction
-    exact_root: Optional[Fraction] = None
 
     @property
     def width(self) -> Fraction:
@@ -216,7 +215,7 @@ def _isolate(chain: SturmChain, lo: Fraction, hi: Fraction) -> list[IsolatingInt
         return []
     if n == 1:
         if _sign_at(chain.squarefree, hi) == 0:
-            return [IsolatingInterval(hi, hi, exact_root=hi)]
+            return [_exact(hi)]
         return [IsolatingInterval(lo, hi)]
     mid = (lo + hi) / 2
     return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
@@ -231,7 +230,7 @@ def isolate_roots(p: IntPoly, lo, hi) -> list[IsolatingInterval]:
 
 
 def _exact(x: Fraction) -> IsolatingInterval:
-    return IsolatingInterval(x, x, exact_root=x)
+    return IsolatingInterval(x, x)
 
 
 def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
@@ -246,8 +245,8 @@ def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
     no strict sign change at its endpoints and does not hold exactly one root.
     """
     width = Fraction(width)
-    if iv.exact_root is not None:
-        return iv
+    if iv.lo == iv.hi and _sign_at(p.coeffs, iv.lo) == 0:
+        return iv  # an exact root
     if width <= 0:
         raise ValueError("width must be positive")
     lo, hi = iv.lo, iv.hi

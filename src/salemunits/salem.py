@@ -112,7 +112,7 @@ class SalemCertificate:
                 trace_poly=IntPoly.from_text(d["trace_poly"]),
                 min_poly=IntPoly.from_text(d["min_poly"]),
                 root_pattern=RootPattern(**{f.name: rp[f.name] for f in fields(RootPattern)}),
-                beta_interval=IsolatingInterval(lo, hi, exact_root=lo if lo == hi else None),
+                beta_interval=IsolatingInterval(lo, hi),
                 alpha_decimal=d["alpha"],
                 alpha_precision=d["alpha_precision"],
                 irreducibility=IrreducibilityWitness.from_json_dict(d["irreducibility"]),
@@ -159,22 +159,31 @@ def _resultant_error(n: int, res: int) -> CertificationError:
     return CertificationError("resultant", f"|Res(x^{n} - 1, S)| = {text} != 1", {"value": res})
 
 
-def check_n(n: int) -> None:
-    """Raise ValueError unless 1 <= n <= MAX_N."""
-    if not 1 <= n <= MAX_N:
+def check_bounds(
+    *,
+    n: Optional[int] = None,
+    t: Optional[int] = None,
+    digits: Optional[int] = None,
+    poly: Optional[IntPoly] = None,
+    kind: str = "trace",
+) -> None:
+    """Raise ValueError, with a one-line message, at the first given value past its bound.
+
+    n, t and digits (of alpha) lie in [1, MAX_N], [1, MAX_T] and [1,
+    MAX_PRECISION]; a trace poly has degree at most MAX_T, and a "min" one at
+    most 2 MAX_T.  Every entry point calls this once, before any Sturm chain,
+    gcd or resultant; ``verify_certificate`` reads the same constants, as it
+    records failures instead of raising.
+    """
+    if n is not None and not 1 <= n <= MAX_N:
         raise ValueError(f"n must be between 1 and {MAX_N} (got {n})")
-
-
-def check_t(t: int) -> None:
-    """Raise ValueError unless 1 <= t <= MAX_T."""
-    if not 1 <= t <= MAX_T:
+    if t is not None and not 1 <= t <= MAX_T:
         raise ValueError(f"t must be between 1 and {MAX_T} (got {t})")
-
-
-def check_precision(digits: int) -> None:
-    """Raise ValueError unless 1 <= digits <= MAX_PRECISION."""
-    if not 1 <= digits <= MAX_PRECISION:
+    if digits is not None and not 1 <= digits <= MAX_PRECISION:
         raise ValueError(f"precision must be between 1 and {MAX_PRECISION} digits (got {digits})")
+    limit = MAX_T if kind == "trace" else 2 * MAX_T
+    if poly is not None and poly.degree > limit:
+        raise ValueError(f"a {kind} polynomial must have degree at most {limit} (got {int(poly.degree)})")
 
 
 def _sqrt_enclosure(y: Fraction, digits: int) -> tuple[Fraction, Fraction]:
@@ -204,12 +213,12 @@ def alpha_from_beta(beta_iv: IsolatingInterval, precision_digits: int, poly: Int
     so would 1/alpha = beta - alpha: then alpha = 1 and beta = 2.  So alpha is
     irrational, never on a digit boundary, and the loop below ends.
     """
-    check_precision(precision_digits)
+    check_bounds(digits=precision_digits)
     if not poly.is_monic:
         raise ValueError("beta must be a root of a monic polynomial")
     if beta_iv.lo < 2 or beta_iv.hi <= 2:
         raise ValueError("beta interval must lie above 2")
-    if beta_iv.exact_root is not None and poly(beta_iv.exact_root) != 0:
+    if beta_iv.lo == beta_iv.hi and poly(beta_iv.lo) != 0:
         raise ValueError("the exact beta is not a root of the polynomial")
     work = precision_digits + 4
     scale = 10**precision_digits
@@ -239,6 +248,7 @@ def certify_trace(
 
     Check order: monic/degree gates, separability, root pattern,
     irreducibility, reciprocal lift, unit resultant.  All arithmetic is exact.
+    n, the precision and deg T <= MAX_T are bounded first, by ValueError.
     A constructed candidate's pattern, and with it separability, is decided
     from the closed-form roots of its P by ``root_pattern``, with no Sturm
     chain as a rule; an external trace's by one chain.  A candidate refuted
@@ -247,8 +257,7 @@ def certify_trace(
     """
     from .construct import product_roots  # construct imports this module
 
-    check_n(n)
-    check_precision(precision_digits)
+    check_bounds(n=n, digits=precision_digits, poly=trace)
     if trace.is_zero or not trace.is_monic:
         raise CertificationError("monic", "trace polynomial must be monic", {"poly": trace.to_text()})
     t = int(trace.degree)
@@ -317,10 +326,10 @@ def certify_min_poly(
 
     The unit resultant is checked on the polynomial as given, before trace
     extraction, so a failed unit property is reported even when the trace
-    would be rejected on degree grounds.
+    would be rejected on degree grounds.  n, the precision and deg S <= 2 MAX_T
+    are bounded first, by ValueError.
     """
-    check_n(n)
-    check_precision(precision_digits)
+    check_bounds(n=n, digits=precision_digits, poly=s_poly, kind="min")
     if s_poly.is_zero or not s_poly.is_monic:
         raise CertificationError("monic", "minimal polynomial must be monic")
     if int(s_poly.degree) % 2 != 0 or not is_reciprocal(s_poly):
@@ -337,14 +346,21 @@ def certify_min_poly(
 def verify_certificate(cert: SalemCertificate) -> list[str]:
     """Independently replay a certificate; returns the names of failed checks (empty if valid).
 
-    Pattern, lift and resultant are recomputed from the stored trace
-    polynomial; the irreducibility witness is replayed from its detail; the
-    beta interval is checked to bracket the one root above 2, by a sign change
-    of T, and to lie in (a-1, a), by one there, when a is recorded.  A
-    constructed candidate's pattern is decided from the roots of P recomputed
-    from its construction, n, t and a; they are hints, so a forged field can
-    only send the replay to the Sturm chain, as an external trace goes.  A
-    pattern refuted there (None) fails as a non-Salem one does.
+    The lift S of the stored trace polynomial T is rebuilt and compared with
+    ``min_poly``.  The pattern, the digits of alpha and the resultant are
+    recomputed; the resultant only on S, and only when S is the stored
+    polynomial, 1 <= n <= MAX_N and the stored value is +-1, so a forged
+    ``min_poly``, n or value fails at once.  The beta interval is checked to
+    bracket the one root above 2, by a sign change of T, and to lie in
+    (a-1, a), by one there, when a is recorded.  The irreducibility witness
+    is replayed from its detail on the pattern proved here: a
+    ``kronecker-cyclotomic`` one by recomputing its gcds, a
+    ``modular-degree-filter`` one only by subset sums over its stored degree
+    multisets, which are never recomputed.  A constructed candidate's pattern
+    is decided from the roots of P recomputed from its construction, n, t and
+    a; they are hints, so a forged field can only send the replay to the Sturm
+    chain, as an external trace goes.  A pattern refuted there (None) fails as
+    a non-Salem one does.
     """
     from .construct import product_roots  # construct imports this module
 
@@ -353,7 +369,9 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     # the degree is bounded before any chain is built: a chain's cost grows fast with t
     if trace.is_zero or not trace.is_monic or int(trace.degree) != t or not 2 <= t <= MAX_T:
         return ["degree"]
-    if lift_trace(trace, t) != cert.min_poly or not is_reciprocal(cert.min_poly):
+    s_poly = lift_trace(trace, t)  # monic and reciprocal of degree 2t
+    lifted = s_poly == cert.min_poly
+    if not lifted:
         failures.append("lift")
     pattern = root_pattern(trace, product_roots(cert.construction, n, t, cert.a))
     salem = pattern is not None and pattern.is_salem(t)
@@ -362,37 +380,24 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     # the witness is replayed against the pattern proved here, never the stored one
     if cert.irreducibility.verdict != "irreducible" or not verify_witness(trace, cert.irreducibility, pattern):
         failures.append("irreducibility")
-    # unit_check is defined for a monic S only, and bounded to 1 <= n <= MAX_N
-    if (
-        not 1 <= n <= MAX_N
-        or not cert.min_poly.is_monic
-        or unit_check(cert.min_poly, n) != cert.resultant_value
-        or abs(cert.resultant_value) != 1
-    ):
+    # unit_check sees only the rebuilt S, of degree 2t <= 2 MAX_T, and last: a forged
+    # min_poly, n or value fails without it
+    res = cert.resultant_value
+    if not (lifted and 1 <= n <= MAX_N and abs(res) == 1 and unit_check(s_poly, n) == res):
         failures.append("resultant")
-    iv = cert.beta_interval
-    if iv.exact_root is not None:
-        failures.append("beta_interval")  # beta is irrational for an irreducible trace
-    else:
-        # with the Salem pattern T has one root above 2 and T(2) != 0, so a
-        # strict sign change on [lo, hi] with 2 <= lo < hi brackets that root
-        if (
-            not salem
-            or not 2 <= iv.lo < iv.hi
-            or _sign_at(trace.coeffs, iv.lo) * _sign_at(trace.coeffs, iv.hi) >= 0
-        ):
-            failures.append("beta_interval")
-        else:
-            try:
-                check_precision(cert.alpha_precision)
-            except ValueError:
-                failures.append("alpha")
-            else:
-                alpha_dec, _ = alpha_from_beta(iv, cert.alpha_precision, trace)
-                if alpha_dec != cert.alpha_decimal:
-                    failures.append("alpha")
-        # with the pattern, a root in (a-1, a), a - 1 >= 2, is the one above 2
-        a, f = cert.a, trace.coeffs
-        if a is not None and (a < 3 or _sign_at(f, Fraction(a - 1)) * _sign_at(f, Fraction(a)) >= 0):
-            failures.append("beta_location")
+    # with the Salem pattern T has one root above 2 and T(2) != 0, so a strict sign
+    # change on [lo, hi] with 2 <= lo < hi brackets that root; an exact beta (lo = hi)
+    # fails, as beta is irrational for an irreducible trace
+    iv, f = cert.beta_interval, trace.coeffs
+    if not salem or not 2 <= iv.lo < iv.hi or _sign_at(f, iv.lo) * _sign_at(f, iv.hi) >= 0:
+        failures.append("beta_interval")
+    elif (
+        not 1 <= cert.alpha_precision <= MAX_PRECISION
+        or alpha_from_beta(iv, cert.alpha_precision, trace)[0] != cert.alpha_decimal
+    ):
+        failures.append("alpha")
+    # with the pattern, a root in (a-1, a), a - 1 >= 2, is the one above 2
+    a = cert.a
+    if a is not None and (a < 3 or _sign_at(f, Fraction(a - 1)) * _sign_at(f, Fraction(a)) >= 0):
+        failures.append("beta_location")
     return failures

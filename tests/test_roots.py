@@ -92,20 +92,20 @@ class TestIsolate:
         p = IntPoly([-2, 0, 1])
         ivs = isolate_roots(p, -3, 3)
         assert len(ivs) == 2
-        assert ivs[0].hi <= ivs[1].lo or ivs[0].exact_root is not None
+        assert ivs[0].hi <= ivs[1].lo
         for iv in ivs:
             assert sturm_count(p, iv.lo - Fraction(1, 1000), iv.hi) == 1
 
     def test_cyclo12_exact_roots(self):
         ivs = isolate_roots(cyclo_trace(12), -2, 2)
         assert len(ivs) == 5
-        exact = [iv.exact_root for iv in ivs if iv.exact_root is not None]
+        exact = [iv.lo for iv in ivs if iv.lo == iv.hi]
         assert exact == [Fraction(-1), Fraction(0), Fraction(1)]
 
     def test_cheb6_unit_interval(self):
         ivs = isolate_roots(cheb(6), 0, 1)
         # r_6 = 1; the root 2cos(5 pi/12) = 0.5176... is irrational
-        assert len(ivs) == 1 and ivs[0].exact_root is None
+        assert len(ivs) == 1 and ivs[0].lo < ivs[0].hi
 
     def test_counts_and_disjointness(self):
         rng = random.Random(5)
@@ -118,10 +118,10 @@ class TestIsolate:
             ivs = isolate_roots(p, -b, b)
             assert len(ivs) == sturm_count(p, -b, b)
             for a, c in zip(ivs, ivs[1:]):
-                assert a.hi <= c.lo or (a.exact_root is not None and a.exact_root <= c.lo)
+                assert a.hi <= c.lo
             chain = SturmChain(p)
             for iv in ivs:
-                if iv.exact_root is None:
+                if iv.lo < iv.hi:
                     assert chain.count(iv.lo, iv.hi) == 1
 
     def test_nonseparable_rejected(self):
@@ -153,7 +153,8 @@ class TestRefine:
         p = IntPoly([-4, 0, 1])
         iv = IsolatingInterval(Fraction(0), Fraction(4))
         out = refine(iv, p, Fraction(1, 100))
-        assert out.exact_root == 2
+        assert out.lo == out.hi == 2
+        assert refine(out, p, Fraction(1, 100)) == out
 
     def test_nonpositive_width_rejected(self):
         p = IntPoly([-2, 0, 1])
@@ -188,6 +189,8 @@ class TestRefineWithoutRoot:
             refine(iv, p, Fraction(1, 10**5))
         with pytest.raises(ValueError):
             alpha_from_beta(iv, 30, p)
+        with pytest.raises(ValueError):  # a point that is not a root
+            refine(IsolatingInterval(Fraction(4), Fraction(4)), p, Fraction(1, 10**5))
 
     def test_two_roots_without_sign_change(self):
         p = IntPoly([-5, 1]) * IntPoly([-7, 1])
@@ -210,16 +213,16 @@ class TestRefineWithoutRoot:
 def _bisection_refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
     """The plain bisection that quadratic refinement replaced, kept as an oracle."""
     width = Fraction(width)
-    if iv.exact_root is not None:
+    if iv.lo == iv.hi:
         return iv
     chain = SturmChain(p)
     f, lo, hi = IntPoly(chain.squarefree), iv.lo, iv.hi
     if f(hi) == 0:
-        return IsolatingInterval(hi, hi, exact_root=hi)
+        return IsolatingInterval(hi, hi)
     while f(lo) * f(hi) >= 0:
         mid = (lo + hi) / 2
         if f(mid) == 0:
-            return IsolatingInterval(mid, mid, exact_root=mid)
+            return IsolatingInterval(mid, mid)
         if chain.count(lo, mid) == 1:
             hi = mid
         else:
@@ -228,7 +231,7 @@ def _bisection_refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInte
         mid = (lo + hi) / 2
         fmid = f(mid)
         if fmid == 0:
-            return IsolatingInterval(mid, mid, exact_root=mid)
+            return IsolatingInterval(mid, mid)
         if fmid * f(hi) < 0:
             lo = mid
         else:

@@ -2,6 +2,8 @@
 
 import math
 import random
+import signal
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -66,7 +68,7 @@ class TestAlphaFromBeta:
         # (3 + sqrt(5))/2, digits frozen from an integer-sqrt computation:
         # floor((3*10^30 + isqrt(5*10^60)) / 2) digit string
         expected = (3 * 10**30 + math.isqrt(5 * 10**60)) // 2
-        three = IsolatingInterval(Fraction(3), Fraction(3), exact_root=Fraction(3))
+        three = IsolatingInterval(Fraction(3), Fraction(3))
         dec, iv = alpha_from_beta(three, 30, IntPoly([-3, 1]))
         assert dec == f"{str(expected)[0]}.{str(expected)[1:]}"
         assert iv.width <= Fraction(1, 10**30)
@@ -90,7 +92,7 @@ class TestAlphaFromBeta:
     def test_needs_a_root_of_a_monic_polynomial(self):
         # beta = 5/2 and beta = 41/20 give the rational alpha = 2 and 5/4; a root beta > 2
         # of a monic polynomial gives an irrational alpha, so the digit loop ends
-        exact = IsolatingInterval(Fraction(5, 2), Fraction(5, 2), exact_root=Fraction(5, 2))
+        exact = IsolatingInterval(Fraction(5, 2), Fraction(5, 2))
         with pytest.raises(ValueError, match="monic"):
             alpha_from_beta(exact, 8, IntPoly([-5, 2]))
         with pytest.raises(ValueError, match="monic"):
@@ -468,3 +470,55 @@ class TestInterlacingReplay:
         cert = certify_trace(build_candidate(plan, 117), 44, construction=plan.construction, a=117)
         assert verify_certificate(self.replayed(cert)) == []
         assert chains == []
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("no answer within the time limit")
+
+
+@contextmanager
+def _within(seconds: int):
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestBoundsBeforeWork:
+    """Past a bound, certification refuses and replay fails before any costly step."""
+
+    @pytest.fixture(scope="class")
+    def long_trace(self):
+        # monic of degree MAX_T + 2: unbounded, its Sturm chain alone takes seconds
+        return build_candidate(plan_construction(12, MAX_T + 2), 1000)
+
+    def test_certify_trace_past_max_t(self, long_trace):
+        with _within(1), pytest.raises(ValueError, match=f"a trace polynomial must have degree at most {MAX_T}"):
+            certify_trace(long_trace, 12)
+
+    def test_certify_min_poly_past_twice_max_t(self, long_trace):
+        s_poly = lift_trace(long_trace, MAX_T + 2)
+        with _within(1), pytest.raises(ValueError, match=f"a min polynomial must have degree at most {2 * MAX_T}"):
+            certify_min_poly(s_poly, 12)
+
+    def test_forged_min_poly_is_never_unit_checked(self):
+        # a random monic min_poly of degree 1201 with n = 1200: a unit check on it takes minutes
+        cert = certify_trace(_good_trace(3), 12, construction="quad-unit", a=3)
+        rng = random.Random(1201)
+        data = cert.to_json_dict()
+        data["min_poly"] = IntPoly([rng.randint(-9, 9) for _ in range(1201)] + [1]).to_text()
+        data["n"] = 1200
+        with _within(2):
+            assert verify_certificate(SalemCertificate.from_json_dict(data)) == ["lift", "resultant"]
+
+    def test_non_unit_resultant_is_never_unit_checked(self, monkeypatch):
+        cert = certify_trace(_good_trace(5), 12, a=5)
+
+        def no_unit_check(s_poly, n):
+            raise AssertionError("unit_check ran")
+
+        monkeypatch.setattr(salem, "unit_check", no_unit_check)
+        assert verify_certificate(replace(cert, resultant_value=5)) == ["resultant"]
