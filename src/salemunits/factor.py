@@ -1,10 +1,12 @@
 """Irreducibility decisions for Salem trace polynomials, with checkable witnesses.
 
 Strategy: a modular degree filter first (factor-degree multisets modulo several
-good primes, by distinct-degree factorization on the Frobenius map; if the
-subset-sum intersection is trivial the polynomial is irreducible).  It runs on
-coefficients packed into one int, w = 2 bits((n + 1) q^2) + bits(q) bits to a
-coefficient at degree n mod q, so a division step is a few bigint operations.
+good primes, by distinct-degree factorization on the Frobenius map with one
+gcd per block of degrees; if the subset-sum intersection is trivial the
+polynomial is irreducible).  It runs on coefficients packed into one int,
+w = 2 bits((n + 1) q^2) + bits(q) bits to a coefficient at degree n mod q, so
+a division step, and a product mod f by Barrett's precomputed quotient, is a
+few bigint operations.
 When it gives no verdict, the trace must have the Salem root pattern: one root
 above 2, the other t - 1 in (-2, 2).  Then any factor that lacks the large root
 has all its roots in (-2, 2), so by Kronecker's theorem it is a product of
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .intpoly import IntPoly, gcd_over_rationals
 from .roots import RootPattern
 
 _FILTER_PRIME_COUNT = 5
+_BLOCK = 8  # degrees per gcd in _degree_multiset
 # the primes, in order, that the separability and filter tests try: the odd ones below 100, a bounded search
 SEPARABILITY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 KRONECKER = "kronecker-cyclotomic"
@@ -71,10 +74,12 @@ class _Packed:
     """Polynomials of degree at most n mod a prime q: coefficient i in bits [w i, w i + w) of one int.
 
     A slot stays below bound = (n + 1) q^2 between reductions: a division adds
-    at most n terms c (q - b_i) < q^2 to each slot of a reduced input, and a
-    Frobenius product sums n terms under q^2.  reduce() takes every slot mod q at
-    once by floor(x / q) = (x m) >> s, m = ceil(2^s / q), exact as 2^s >= bound q
-    (Granlund & Montgomery, 1994); w = s + bits(bound) keeps x m inside its slot.
+    at most n terms c (q - b_i) < q^2 to each slot of a reduced input, a
+    Frobenius product sums n terms under q^2, and a product of two reduced
+    polynomials has 2n + 1 slots of at most n + 1 terms under q^2.  reduce()
+    takes each of the 2n + 1 low slots mod q at once by floor(x / q) =
+    (x m) >> s, m = ceil(2^s / q), exact as 2^s >= bound q (Granlund &
+    Montgomery, 1994); w = s + bits(bound) keeps x m inside its slot.
     """
 
     def __init__(self, n: int, q: int):
@@ -83,7 +88,7 @@ class _Packed:
         self.w = w = s + self.bound.bit_length()
         self.m, self.slot = -(-(1 << s) // q), (1 << w) - 1
         self.ones = ((1 << (w * (n + 1))) - 1) // self.slot  # 1 in each of n + 1 slots
-        self.quot_mask = self.ones * ((1 << (w - s)) - 1)
+        self.quot_mask = ((1 << (w * (2 * n + 1))) - 1) // self.slot * ((1 << (w - s)) - 1)
 
     def pack(self, coeffs: Iterable[int]) -> int:
         return sum((c % self.q) << (self.w * i) for i, c in enumerate(coeffs))
@@ -109,6 +114,26 @@ class _Packed:
             quo |= c << (w * (top - db))
         return quo, self.reduce(a)
 
+    def barrett(self, b: int, top: int) -> Callable[[int], int]:
+        """a -> a mod b, reduced, for monic b of degree m and a of degree at most top, m <= top < n + m.
+
+        a is a reduced polynomial or the product of two, so its slots are below bound.
+
+        With mu = x^top div b, the quotient of a by b is exactly
+        (a div x^m) mu div x^(top - m) (Barrett, 1986): the terms it drops have
+        negative degree.  Each product sums at most top - m + 1 <= n terms under
+        q^2, so no slot overflows and no loop runs over the coefficients.
+        """
+        w, m = self.w, self.degree(b)
+        mu = self.divmod(1 << (w * top), b)[0]
+        comp = (self.q * self.ones - b) & ((1 << (w * (m + 1))) - 1)  # q - b_i: adding c comp subtracts c b
+
+        def mod(a: int) -> int:
+            a = self.reduce(a)
+            return self.reduce(a + (self.reduce((a >> (w * m)) * mu) >> (w * (top - m))) * comp)
+
+        return mod
+
     def gcd(self, a: int, b: int) -> int:
         """The monic gcd of reduced a and b."""
         while b:
@@ -121,7 +146,13 @@ def _degree_multiset(f: Sequence[int], q: int) -> tuple[int, ...]:
 
     Frobenius h -> h^q is linear mod q, as h(x)^q = h(x^q), so each step is one
     product with the matrix whose row i is x^(q i) mod f (Berlekamp's Q).  h
-    stays reduced mod f: gcd(h - x, rest) is unchanged, because rest | f.
+    stays reduced mod f: gcd(h - x, rest) is unchanged, because rest | f.  The
+    gcds come one per block of _BLOCK degrees d (von zur Gathen & Shoup, 1992):
+    g = gcd(prod (h_d - x) mod rest, rest) holds the factors of rest whose
+    degree is in the block, as every smaller one is gone, and only a g > 1 is
+    split, by the gcds of each h_d - x with what is left of g.  The products
+    mod rest are Barrett reductions (``_Packed.barrett``), remade only when a
+    factor splits off.
     """
     n = len(f) - 1
     k = _Packed(n, q)
@@ -130,16 +161,31 @@ def _degree_multiset(f: Sequence[int], q: int) -> tuple[int, ...]:
     for _ in range(1, n):
         rows.append(k.divmod(rows[-1] << (k.w * q), rest)[1])
     degs: list[int] = []
-    h, d = 1 << k.w, 0
-    while k.degree(rest) >= 2 * (d + 1):
-        d += 1
-        h = k.reduce(sum((h >> (k.w * i) & k.slot) * row for i, row in enumerate(rows)))
-        g = k.gcd(k.reduce(h + ((q - 1) << k.w)), rest)  # h - x
+    h, d, m, minus_x = 1 << k.w, 0, n, (q - 1) << k.w
+    mod = None  # x -> x mod rest, made again after a factor splits off
+    while m >= 2 * (d + 1):
+        mod = mod or k.barrett(rest, max(2 * m - 2, n - 1))  # a product of two remainders, or h
+        terms, acc = [], 1
+        for _ in range(min(_BLOCK, m // 2 - d)):
+            d += 1
+            h = k.reduce(sum((h >> (k.w * i) & k.slot) * row for i, row in enumerate(rows)))
+            terms.append(mod(h + minus_x))
+            acc = mod(acc * terms[-1])
+        g = k.gcd(acc, rest)
         if g > 1:
-            degs += [d] * (k.degree(g) // d)
             rest = k.divmod(rest, g)[0]
-    if k.degree(rest) > 0:
-        degs.append(k.degree(rest))
+            m, mod = k.degree(rest), None
+            for e, term in enumerate(terms, d - len(terms) + 1):
+                if k.degree(g) < 2 * e:  # what is left of g is one factor, or 1
+                    break
+                ge = k.gcd(term, g)
+                if ge > 1:
+                    degs += [e] * (k.degree(ge) // e)
+                    g = k.divmod(g, ge)[0]
+            if g > 1:
+                degs.append(k.degree(g))
+    if m > 0:
+        degs.append(m)
     return tuple(sorted(degs))
 
 

@@ -255,9 +255,16 @@ def certify_trace(
     there raises ``root_pattern`` with no pattern in its data.  The
     irreducibility check reads the pattern.
     """
+    check_bounds(n=n, digits=precision_digits, poly=trace)
+    return _certify_trace(trace, n, construction, a, precision_digits, None)
+
+
+def _certify_trace(
+    trace: IntPoly, n: int, construction: str, a: Optional[int], precision_digits: int, res: Optional[int]
+) -> SalemCertificate:
+    """``certify_trace`` past its bounds; ``res`` is Res(x^n - 1, S) for the lift S of trace, or None."""
     from .construct import product_roots  # construct imports this module
 
-    check_bounds(n=n, digits=precision_digits, poly=trace)
     if trace.is_zero or not trace.is_monic:
         raise CertificationError("monic", "trace polynomial must be monic", {"poly": trace.to_text()})
     t = int(trace.degree)
@@ -289,7 +296,7 @@ def certify_trace(
     if not is_reciprocal(s_poly) or int(s_poly.degree) != 2 * t:
         raise CertificationError("lift", "lifted polynomial is not reciprocal of degree 2t")
 
-    res = unit_check(s_poly, n)
+    res = unit_check(s_poly, n) if res is None else res
     if abs(res) != 1:
         raise _resultant_error(n, res)
 
@@ -326,8 +333,9 @@ def certify_min_poly(
 
     The unit resultant is checked on the polynomial as given, before trace
     extraction, so a failed unit property is reported even when the trace
-    would be rejected on degree grounds.  n, the precision and deg S <= 2 MAX_T
-    are bounded first, by ValueError.
+    would be rejected on degree grounds, and only there: the other checks are
+    ``certify_trace``'s on the extracted trace, whose lift is this polynomial.
+    n, the precision and deg S <= 2 MAX_T are bounded first, by ValueError.
     """
     check_bounds(n=n, digits=precision_digits, poly=s_poly, kind="min")
     if s_poly.is_zero or not s_poly.is_monic:
@@ -337,10 +345,8 @@ def certify_min_poly(
     res = unit_check(s_poly, n)
     if abs(res) != 1:
         raise _resultant_error(n, res)
-    trace = extract_trace(s_poly)
-    return certify_trace(
-        trace, n, construction=construction, a=a, precision_digits=precision_digits
-    )
+    # extract_trace is exact, so the lift of its trace is s_poly, whose resultant is known
+    return _certify_trace(extract_trace(s_poly), n, construction, a, precision_digits, res)
 
 
 def verify_certificate(cert: SalemCertificate) -> list[str]:

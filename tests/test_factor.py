@@ -3,18 +3,20 @@
 import random
 import signal
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_gcd, gf_mul, gf_strip
+from sympy.polys.galoistools import gf_gcd, gf_irreducible_p, gf_mul, gf_strip
 
 from salemunits import factor
 from salemunits.construct import build_candidate, plan_construction
 from salemunits.factor import (
+    _BLOCK,
     KRONECKER,
     SEPARABILITY_PRIMES,
     IrreducibilityWitness,
@@ -308,6 +310,45 @@ PINNED_WITNESSES = {
 SWITCH_PRIMES = list(sympy.primerange(3, 68))
 
 
+def _switch_prime(n: int, pick: int, above: bool) -> int:
+    """A prime of SWITCH_PRIMES just below or just above one where the slot width of degree n changes."""
+    switches = [(a, b) for a, b in zip(SWITCH_PRIMES, SWITCH_PRIMES[1:]) if _Packed(n, a).w != _Packed(n, b).w]
+    return switches[pick % len(switches)][above]
+
+
+def per_degree_multiset(f: list[int], q: int) -> tuple[int, ...]:
+    """The filter's distinct-degree factorization with one gcd for each degree d: the reference for the blocked one."""
+    n = len(f) - 1
+    k = _Packed(n, q)
+    rest = k.pack(f)
+    rows = [1]
+    for _ in range(1, n):
+        rows.append(k.divmod(rows[-1] << (k.w * q), rest)[1])
+    degs: list[int] = []
+    h, d = 1 << k.w, 0
+    while k.degree(rest) >= 2 * (d + 1):
+        d += 1
+        h = k.reduce(sum((h >> (k.w * i) & k.slot) * row for i, row in enumerate(rows)))
+        g = k.gcd(k.reduce(h + ((q - 1) << k.w)), rest)  # h - x
+        if g > 1:
+            degs += [d] * (k.degree(g) // d)
+            rest = k.divmod(rest, g)[0]
+    if k.degree(rest) > 0:
+        degs.append(k.degree(rest))
+    return tuple(sorted(degs))
+
+
+def _distinct_irreducibles(degrees: list[int], q: int, rng: random.Random) -> list[list[int]]:
+    """Distinct random monic irreducibles mod q of the given degrees, coefficients from the top."""
+    out: list[list[int]] = []
+    for d in degrees:
+        f = [1] + [rng.randrange(q) for _ in range(d)]
+        while not gf_irreducible_p(f, q, ZZ) or f in out:
+            f = [1] + [rng.randrange(q) for _ in range(d)]
+        out.append(f)
+    return out
+
+
 class TestDegreeMultiset:
     """The filter's factor degrees mod q against sympy's factorization over F_q."""
 
@@ -331,15 +372,40 @@ class TestDegreeMultiset:
     @given(st.integers(1, 150), st.integers(0, 99), st.booleans(), st.data())
     @settings(max_examples=25, deadline=None)
     def test_matches_sympy_at_slot_width_switches(self, n, pick, above, data):
-        # q just below or just above a prime where the slot width of degree n changes
-        switches = [(a, b) for a, b in zip(SWITCH_PRIMES, SWITCH_PRIMES[1:]) if _Packed(n, a).w != _Packed(n, b).w]
-        q = switches[pick % len(switches)][above]
+        q = _switch_prime(n, pick, above)
         # 0 and q - 1 make the largest slot sums: complements q - 0 and quotient terms q - 1
         coeff = st.one_of(st.sampled_from([0, q - 1]), st.integers(0, q - 1))
         f = data.draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
         # sympy's is_sqf calls x^q squarefree mod q, so read its squarefree decomposition
         assume(all(e == 1 for _, e in sympy.Poly(f[::-1], _x, modulus=q).sqf_list()[1]))
         assert _degree_multiset(f, q) == sympy_degrees_mod(f, q)
+
+    @given(
+        st.sampled_from([3, 5, 7, 13]),
+        st.lists(st.sampled_from([1, 2, 3, _BLOCK, _BLOCK + 1, 2 * _BLOCK]), min_size=1, max_size=5),
+        st.integers(0, _BLOCK),
+        st.integers(0, 2**32),
+    )
+    # three factors of degree B leave the first block with a rest of degree below n / 2, so the
+    # Barrett bound is set by n; every factor is found in the first block, so rest falls to 1 in it;
+    # B, B + 1 and 2B together; a factor above deg f / 2
+    @example(3, [_BLOCK, _BLOCK, _BLOCK, _BLOCK + 1, _BLOCK + 1], 0, 1)
+    @example(5, [1, 1, 2, 2, 3], 0, 2)
+    @example(7, [_BLOCK, _BLOCK + 1, 2 * _BLOCK], 0, 3)
+    @example(13, [_BLOCK, _BLOCK + 1], _BLOCK, 4)
+    @settings(max_examples=30, deadline=None)
+    def test_block_edges_match_sympy_and_per_degree(self, q, degrees, big, seed):
+        # a product of distinct irreducibles, squarefree mod q, with degrees at the block edges
+        # B, B + 1 and 2B; big > 0 adds one factor of degree above deg f / 2
+        assume(max(Counter(degrees).values()) <= 3 and (big == 0 or sum(degrees) <= 2 * _BLOCK + 2))
+        if big:
+            degrees = degrees + [sum(degrees) + big]
+        f = [1]
+        for g in _distinct_irreducibles(degrees, q, random.Random(seed)):
+            f = gf_mul(f, g, q, ZZ)
+        f = [int(c) for c in f[::-1]]
+        want = tuple(sorted(degrees))
+        assert _degree_multiset(f, q) == per_degree_multiset(f, q) == sympy_degrees_mod(f, q) == want
 
     @pytest.mark.parametrize(
         "plan, a, expected",
@@ -371,6 +437,41 @@ class TestPackedKernel:
         r = k.reduce(sum(c << (k.w * i) for i, c in enumerate(values)))
         assert r >> (k.w * len(values)) == 0
         assert _unpack(k, r, len(values)) == [c % q for c in values]
+
+    @given(st.integers(1, 150), st.integers(0, 99), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reduce_of_a_product(self, n, pick, above, data):
+        # every slot of a product of two reduced polynomials of degree up to n: 2n + 1 slots of up to n + 1 terms
+        q = _switch_prime(n, pick, above)
+        k = _Packed(n, q)
+        coeff = st.one_of(st.sampled_from([0, q - 1]), st.integers(0, q - 1))
+        drawn = [data.draw(st.lists(coeff, min_size=1, max_size=n + 1)) for _ in range(2)]
+        for a, b in (drawn, [[q - 1] * (n + 1)] * 2):
+            length = len(a) + len(b) - 1
+            want = [0] * length
+            for i, c in enumerate(a):
+                for j, e in enumerate(b):
+                    want[i + j] = (want[i + j] + c * e) % q
+            r = k.reduce(k.pack(a) * k.pack(b))
+            assert r >> (k.w * length) == 0
+            assert _unpack(k, r, length) == want
+
+    @given(st.integers(1, 150), st.integers(0, 99), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_barrett_matches_divmod(self, n, pick, above, data):
+        # the reduced remainder by a monic b of degree m, for a of degree up to top, m <= top < n + m,
+        # and for the unreduced product of two polynomials of degree below m, of degree up to 2m - 2 <= top
+        q = _switch_prime(n, pick, above)
+        k = _Packed(n, q)
+        coeff = st.one_of(st.sampled_from([0, q - 1]), st.integers(0, q - 1))
+        m = data.draw(st.integers(1, n))
+        top = data.draw(st.integers(max(m, 2 * m - 2), n + m - 1))
+        b = k.pack(data.draw(st.lists(coeff, min_size=m, max_size=m)) + [1])
+        mod = k.barrett(b, top)
+        u, v = (k.pack(data.draw(st.lists(coeff, max_size=m))) for _ in range(2))
+        full, drawn = k.pack([q - 1] * m), k.pack(data.draw(st.lists(coeff, max_size=top + 1)))
+        for a in (drawn, k.pack([q - 1] * (top + 1)), u * v, full * full):
+            assert mod(a) == k.divmod(k.reduce(a), b)[1]
 
     @given(st.sampled_from(SWITCH_PRIMES), st.data())
     @settings(max_examples=150, deadline=None)

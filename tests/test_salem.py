@@ -198,6 +198,19 @@ class TestCertifyMinPoly:
         assert again.trace_poly == cert.trace_poly
         assert again.resultant_value == cert.resultant_value
 
+    def test_unit_check_runs_once(self, monkeypatch):
+        cert = certify_trace(_good_trace(3), 12, construction="quad-unit", a=3)
+        calls = []
+
+        def counting(s_poly, n):
+            calls.append((s_poly, n))
+            return unit_check(s_poly, n)
+
+        monkeypatch.setattr(salem, "unit_check", counting)
+        again = certify_min_poly(cert.min_poly, 12, construction="quad-unit", a=3)
+        assert calls == [(cert.min_poly, 12)]
+        assert again.to_json_dict() == cert.to_json_dict()
+
 
 class TestCertificate:
     def test_json_roundtrip(self):
