@@ -204,10 +204,18 @@ def plan_construction(n: int, t: int) -> ConstructionPlan:
 
 
 def build_candidate(plan: ConstructionPlan, a: int) -> IntPoly:
-    """The degree-t candidate trace polynomial: the plan's F times the a-factor, minus 1."""
+    """The degree-t candidate trace polynomial: the plan's F times the a-factor, minus 1.
+
+    The a-factor is x^2 + b x + c, so F times it is the sum of three shifted,
+    scaled copies of F's coefficients, with no polynomial multiply.
+    """
     if a < 3:
         raise ValueError(f"a must be at least 3 (got {a})")
-    r = plan.fixed_product * _A_FACTORS[plan.a_factor_shape](a) - 1
+    c, b, _ = _A_FACTORS[plan.a_factor_shape](a).coeffs
+    f = plan.fixed_product.coeffs
+    coeffs = [u + b * v + c * w for u, v, w in zip((0, 0, *f), (0, *f, 0), (*f, 0, 0))]
+    coeffs[0] -= 1
+    r = IntPoly(coeffs)
     if r.degree != plan.t or not r.is_monic:
         raise RuntimeError(f"degree bookkeeping failed: built degree {r.degree}, expected {plan.t}")
     return r

@@ -18,6 +18,7 @@ cyclotomic traces psi_m, and three exact gcds find one (Bradford & Davenport,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -26,6 +27,8 @@ from .roots import RootPattern
 
 _FILTER_PRIME_COUNT = 5
 _BLOCK = 8  # degrees per gcd in _degree_multiset
+# (q, residues) verdicts kept by _squarefree_mod; one plan meets at most sum(SEPARABILITY_PRIMES) = 1058
+_SQUAREFREE_MEMO = 4096
 # the primes, in order, that the separability and filter tests try: the odd ones below 100, a bounded search
 SEPARABILITY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 KRONECKER = "kronecker-cyclotomic"
@@ -152,17 +155,20 @@ def _degree_multiset(f: Sequence[int], q: int) -> tuple[int, ...]:
     degree is in the block, as every smaller one is gone, and only a g > 1 is
     split, by the gcds of each h_d - x with what is left of g.  The products
     mod rest are Barrett reductions (``_Packed.barrett``), remade only when a
-    factor splits off.
+    factor splits off.  The reducer of f itself comes first: row 1 is x^q mod
+    f by one division, and row i is row i - 1 times row 1, reduced by it.
     """
     n = len(f) - 1
     k = _Packed(n, q)
     rest = k.pack(f)
-    rows = [1]
-    for _ in range(1, n):
-        rows.append(k.divmod(rows[-1] << (k.w * q), rest)[1])
+    rows, mod = [1], None  # mod: x -> x mod rest, made again after a factor splits off
+    if n > 1:
+        mod = k.barrett(rest, 2 * n - 2)
+        rows.append(k.divmod(1 << (k.w * q), rest)[1])
+        while len(rows) < n:
+            rows.append(mod(rows[-1] * rows[1]))
     degs: list[int] = []
     h, d, m, minus_x = 1 << k.w, 0, n, (q - 1) << k.w
-    mod = None  # x -> x mod rest, made again after a factor splits off
     while m >= 2 * (d + 1):
         mod = mod or k.barrett(rest, max(2 * m - 2, n - 1))  # a product of two remainders, or h
         terms, acc = [], 1
@@ -196,20 +202,25 @@ def _good_primes(p: IntPoly, count: int) -> list[int]:
     """The first ``count`` primes of SEPARABILITY_PRIMES not dividing disc(p), or all there are.
 
     Reduction mod such a q stays squarefree.  For monic p that is
-    gcd(p mod q, p' mod q) = 1, which avoids computing disc(p).
+    gcd(p mod q, p' mod q) = 1, which avoids computing disc(p).  Each verdict
+    is looked up by (q, p mod q) in ``_squarefree_mod``, so the candidates of
+    a search, whose residues mod q repeat with period q in a, share one gcd
+    per residue class.
     """
-    dp = p.derivative()
-    return list(islice((q for q in SEPARABILITY_PRIMES if _coprime_mod(p, dp, q)), count))
+    good = (q for q in SEPARABILITY_PRIMES if _squarefree_mod(q, tuple(c % q for c in p.coeffs)))
+    return list(islice(good, count))
 
 
-def _coprime_mod(a: IntPoly, b: IntPoly, q: int) -> bool:
-    """gcd(a mod q, b mod q) = 1, for deg b <= deg a.
+@lru_cache(maxsize=_SQUAREFREE_MEMO)
+def _squarefree_mod(q: int, residues: tuple[int, ...]) -> bool:
+    """gcd(a, a') = 1 mod q for the a with these coefficients mod q, ascending.
 
-    For monic a and b = a', that proves a squarefree over Q: a repeated factor
-    of a would be monic in Z[x] (Gauss's lemma) and divide both mod q.
+    p' mod q follows from p mod q, so the verdict on p is this one, exact for
+    any p.  For monic p that proves p squarefree over Q: a repeated factor of
+    p would be monic in Z[x] (Gauss's lemma) and divide both mod q.
     """
-    k = _Packed(int(a.degree), q)
-    return k.gcd(k.pack(a.coeffs), k.pack(b.coeffs)) == 1
+    k = _Packed(len(residues) - 1, q)
+    return k.gcd(k.pack(residues), k.pack([i * c for i, c in enumerate(residues)][1:])) == 1
 
 
 def separable_mod_prime(p: IntPoly) -> Optional[int]:

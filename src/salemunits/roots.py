@@ -69,15 +69,19 @@ def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
 
 
 def _value_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
-    """den^deg * p(num/den) for den > 0, by homogenized integer Horner; it has the sign of p."""
-    acc = coeffs[-1]
-    if den == 1:
-        if num == 0:
-            return coeffs[0]
-        if num == 1:
-            return sum(coeffs)
-        for i in range(len(coeffs) - 2, -1, -1):
-            acc = acc * num + coeffs[i]
+    """den^deg * p(num/den) for den > 0, by homogenized integer Horner; it has the sign of p.
+
+    The term of c_i is c_i den^(deg - i).  For den = 2^s, den = 1 included,
+    that is c_i << s (deg - i), a shift.  The hinted pattern and its walk
+    evaluate only at such points, and so does ``_refine_on_grid`` on an
+    interval with dyadic ends.
+    """
+    if den == 1 and 0 <= num <= 1:  # a plan's Sturm cross-checks read every chain at 0 and 1
+        return sum(coeffs) if num else coeffs[0]
+    acc, s = coeffs[-1], den.bit_length() - 1
+    if den == 1 << s:
+        for k, c in enumerate(coeffs[-2::-1], 1):
+            acc = acc * num + (c << s * k)
         return acc
     dpow = 1
     for i in range(len(coeffs) - 2, -1, -1):

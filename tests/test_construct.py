@@ -185,6 +185,18 @@ class TestBuildCandidate:
         with pytest.raises(ValueError):
             build_candidate(plan_construction(12, 9), 2)
 
+    @pytest.mark.parametrize(
+        "n, t, construction",
+        [(12, 9, QUAD_UNIT), (12, 11, QUAD_SHIFT), (12, 15, QUAD_SHIFT_GOLDEN), (44, 35, QUAD_SHIFT_GOLDEN_MIRROR)],
+    )
+    def test_shifted_copies_equal_the_product(self, n, t, construction):
+        # the a-factor written out here: x^2 - a x + 1 for quad-unit, x^2 - a x + (a - 2) otherwise
+        plan = plan_construction(n, t)
+        assert plan.construction == construction
+        for a in (3, 4, 17, 200, 10**12 + 1):
+            a_factor = IntPoly([1 if construction == QUAD_UNIT else a - 2, -a, 1])
+            assert build_candidate(plan, a) == plan.fixed_product * a_factor - 1, (n, t, a)
+
 
 class TestLinearFamily:
     def test_even_example(self):

@@ -14,7 +14,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_gcd, gf_irreducible_p, gf_mul, gf_strip
 
 from salemunits import factor
-from salemunits.construct import build_candidate, plan_construction
+from salemunits.construct import build_candidate, plan_construction, search
 from salemunits.factor import (
     _BLOCK,
     KRONECKER,
@@ -407,6 +407,16 @@ class TestDegreeMultiset:
         want = tuple(sorted(degrees))
         assert _degree_multiset(f, q) == per_degree_multiset(f, q) == sympy_degrees_mod(f, q) == want
 
+    @pytest.mark.parametrize("q", [3, 5, 7, 97])
+    def test_degrees_one_and_two_and_q_above_the_degree(self, q):
+        # every monic f of degree 1 or 2 mod q that is squarefree, then random ones of degree up to 40 < q = 97
+        small = [[c, 1] for c in range(q)] + [[c0, c1, 1] for c0 in range(min(q, 11)) for c1 in range(min(q, 11))]
+        rng = random.Random(q)
+        wide = [[rng.randrange(q) for _ in range(n)] + [1] for n in range(3, 41)] if q == 97 else []
+        for f in small + wide:
+            if all(e == 1 for _, e in sympy.Poly(f[::-1], _x, modulus=q).sqf_list()[1]):
+                assert _degree_multiset(f, q) == per_degree_multiset(f, q) == sympy_degrees_mod(f, q), (f, q)
+
     @pytest.mark.parametrize(
         "plan, a, expected",
         [
@@ -522,6 +532,43 @@ class TestGoodPrimes:
         p = IntPoly([-1, 1]) * IntPoly([-1 - prod, 1])
         assert _good_primes(p, 5) == _table_good_primes(p, 5) == [53, 59, 61, 67, 71]
         assert _good_primes(p * IntPoly([-1, 1]), 5) == []
+
+
+class TestSquarefreeMemo:
+    """The mod-q separability verdict is a function of (q, p mod q), looked up once per key."""
+
+    @given(st.sampled_from(SWEEP_PLANS + [(92, 61), (124, 71)]), st.integers(3, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_is_the_gcd_and_has_period_q(self, nt, a):
+        plan = plan_construction(*nt)
+        p = build_candidate(plan, a)
+        good = _good_primes(p, len(SEPARABILITY_PRIMES))
+        for q in SEPARABILITY_PRIMES:
+            k = _Packed(plan.t, q)
+            direct = k.gcd(k.pack(p.coeffs), k.pack(p.derivative().coeffs)) == 1
+            shifted = q in _good_primes(build_candidate(plan, a + q), len(SEPARABILITY_PRIMES))
+            assert (q in good) == direct == shifted, (nt, a, q)
+
+    def test_one_gcd_per_residue_class(self, monkeypatch):
+        keys, gcds = [], Counter()
+        memo, gcd = factor._squarefree_mod, _Packed.gcd
+
+        def recording(q, residues):
+            keys.append((q, residues))
+            return memo(q, residues)
+
+        def counting(self, a, b):
+            gcds["gcd"] += 1
+            return gcd(self, a, b)
+
+        monkeypatch.setattr(factor, "_squarefree_mod", recording)
+        monkeypatch.setattr(_Packed, "gcd", counting)
+        memo.cache_clear()
+        report = search(92, 61, 3, 40, 1)
+        # every candidate is refuted at root_pattern, so no filter gcd runs
+        assert not report.certificates and {check for _, check in report.failures} == {"root_pattern"}
+        assert len(keys) > len(set(keys)) > 0
+        assert gcds["gcd"] == len(set(keys))
 
 
 class TestSeparableModPrime:

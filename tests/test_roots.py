@@ -305,6 +305,28 @@ class TestQuadraticRefinement:
         assert 0 < calls["_value_at"] <= 300
 
 
+class TestValueAt:
+    """_value_at is den^deg p(num/den): by shifts for den = 2^s, by powers of den otherwise."""
+
+    @given(
+        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=14),
+        st.one_of(st.sampled_from([0, 1, -1, -2, 2]), st.integers(-(2**90), 2**90)),
+        st.one_of(st.integers(0, 70).map(lambda s: 1 << s), st.integers(3, 10**9).filter(lambda d: d & (d - 1))),
+    )
+    @example([7], 0, 1)  # a constant
+    @example([-5], -3, 1 << 70)
+    @example([4, 0, -1], 1, 1)
+    @example([4, 0, -1], -1, 1 << 33)
+    @example([4, 0, -1, 0, 0], 0, 6)  # zero top coefficients keep their power of den
+    @example([1, -3, 0, 2], 1, 12)
+    @example([3, 1, 4, 1, 5, 9], -7, 3**40)
+    @example([2, -1, 0, 5], -(2**39) + 1, 1 << 39)
+    @settings(max_examples=300, deadline=None)
+    def test_homogenized_value(self, coeffs, num, den):
+        value = sum(c * Fraction(num, den) ** i for i, c in enumerate(coeffs))
+        assert roots._value_at(tuple(coeffs), num, den) == den ** (len(coeffs) - 1) * value
+
+
 class TestRootPattern:
     def test_boundary_roots(self):
         rp = root_pattern(IntPoly([-4, 0, 1]))
