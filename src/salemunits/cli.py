@@ -20,6 +20,7 @@ from .intpoly import IntPoly, gcd_over_rationals, is_reciprocal, lift_trace
 from .roots import sturm_count_open
 from .salem import (
     DEFAULT_PRECISION,
+    MAX_A,
     MAX_N,
     MAX_PRECISION,
     MAX_T,
@@ -38,24 +39,19 @@ EXIT_EMPTY_SEARCH = 4
 EXIT_CERTIFICATION = 5
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-    return v
+def _int_at_least(low: int):
+    """The argparse type of an integer that is at least ``low``."""
 
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+        return v
 
-def _nonneg_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
-    return v
+    return parse
 
 
 def _read_poly(arg: str) -> IntPoly:
@@ -213,16 +209,12 @@ def _cmd_certify(args) -> int:
         if kind == "auto":
             even = not poly.is_zero and int(poly.degree) % 2 == 0
             kind = "min" if even and is_reciprocal(poly) else "trace"
-        check_bounds(n=args.n, digits=args.precision, poly=poly, kind=kind)
-    except (OSError, ValueError) as err:
-        return _fail(str(err))
-    try:
-        if kind == "min":
-            cert = certify_min_poly(poly, args.n, precision_digits=args.precision)
-        else:
-            cert = certify_trace(poly, args.n, precision_digits=args.precision)
+        certify = certify_min_poly if kind == "min" else certify_trace
+        cert = certify(poly, args.n, precision_digits=args.precision)
     except CertificationError as err:
         return _fail(f"rejected at check '{err.check}': {err.message}", EXIT_CERTIFICATION)
+    except (OSError, ValueError) as err:  # the input, or a bound that the library checks first
+        return _fail(str(err))
     if args.format == "json":
         _emit(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n", args.output)
     else:
@@ -349,9 +341,10 @@ T_HELP = (
 )
 
 A_MAX_HELP = (
-    f"the last a of the sweep; a_max - a_min must be less than {MAX_A_SPAN}, or the run exits 2."
-    " 200 candidates take about 0.4 s at (n, t) = (12, 9) and 4 s at (92, 61)"
-    " (2-core x86-64, Python 3.11)"
+    f"the last a of the sweep, at most {MAX_A}; a_max - a_min must be less than {MAX_A_SPAN}, or the"
+    " run exits 2. 200 candidates take about 0.4 s at (n, t) = (12, 9) and 4 s at (92, 61); at"
+    f" a_max = {MAX_A} four candidates take 0.1 s at (92, 61), 0.15 s at (124, 71) and 4.6 s at"
+    " (596, 301) (2-core x86-64, Python 3.11)"
 )
 
 
@@ -388,41 +381,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cheb", help="print the monic Chebyshev-style polynomial of degree k")
-    p.add_argument("--k", type=_nonneg_int, required=True, help=K_HELP)
+    p.add_argument("--k", type=_int_at_least(0), required=True, help=K_HELP)
     p.set_defaults(func=_cmd_cheb)
 
     p = sub.add_parser("ctrace", help="print the cyclotomic trace polynomial for index n")
-    p.add_argument("--n", type=_positive_int, required=True, help=CTRACE_N_HELP)
+    p.add_argument("--n", type=_int_at_least(1), required=True, help=CTRACE_N_HELP)
     p.set_defaults(func=_cmd_ctrace)
 
     p = sub.add_parser("plan", help="select the construction for (n, t)", description=PLAN_HELP)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--t", type=_positive_int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--t", type=_int_at_least(1), required=True)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("search", help="sweep the parameter a and certify candidates")
-    p.add_argument("--n", type=_positive_int, required=True, help=N_HELP)
-    p.add_argument("--t", type=_positive_int, required=True, help=T_HELP)
-    p.add_argument("--a-min", type=_positive_int, default=3)
-    p.add_argument("--a-max", type=_positive_int, default=200, help=A_MAX_HELP)
-    p.add_argument("--want", type=_positive_int, default=5)
-    p.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION, help=PRECISION_HELP)
+    p.add_argument("--n", type=_int_at_least(1), required=True, help=N_HELP)
+    p.add_argument("--t", type=_int_at_least(1), required=True, help=T_HELP)
+    p.add_argument("--a-min", type=_int_at_least(1), default=3)
+    p.add_argument("--a-max", type=_int_at_least(1), default=200, help=A_MAX_HELP)
+    p.add_argument("--want", type=_int_at_least(1), default=5)
+    p.add_argument("--precision", type=_int_at_least(1), default=DEFAULT_PRECISION, help=PRECISION_HELP)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("certify", help="certify a trace or reciprocal minimal polynomial")
     p.add_argument("poly", nargs="?", default=None, help=POLY_HELP)
-    p.add_argument("--n", type=_positive_int, default=None, help=N_HELP)
+    p.add_argument("--n", type=_int_at_least(1), default=None, help=N_HELP)
     p.add_argument("--as", dest="kind", choices=("auto", "trace", "min"), default="auto")
-    p.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION, help=PRECISION_HELP)
+    p.add_argument("--precision", type=_int_at_least(1), default=DEFAULT_PRECISION, help=PRECISION_HELP)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--output", default=None)
     p.add_argument("--from-report", default=None, help="re-validate every certificate in a search report")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("selftest", help="run the identity and root-count suites")
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

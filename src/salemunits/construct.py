@@ -5,7 +5,7 @@ shape (fixed factor list) * (a-dependent factor) - 1, where the construction
 is selected from exact parity evidence: root counts of the Chebyshev-style and
 cyclotomic-trace factors in (0, 1).  The selection never trusts the
 closed-form count alone; formula and Sturm count must agree or the run aborts.
-``_CONSTRUCTIONS`` gives each construction's factor list and a-factor shape.
+``_CONSTRUCTIONS`` gives each construction's a-factor shape and extra factors.
 """
 
 from __future__ import annotations
@@ -47,13 +47,13 @@ SHAPE_QUAD_SHIFT = "x^2-a*x+(a-2)"
 _A_FACTORS = {SHAPE_QUAD_UNIT: lambda a: IntPoly([1, -a, 1]), SHAPE_QUAD_SHIFT: lambda a: IntPoly([a - 2, -a, 1])}
 
 _XX_MINUS_4 = IntPoly([-4, 0, 1])
-# construction -> (the parity of l = (2t - n - 6)/4 that selects it, its a-factor shape, its extra
-# fixed factors).  Its fixed factors are C_n, x^2 - 4, the extras and cheb(2l - 2 len(extras)).
+# construction -> (its a-factor shape, its extra fixed factors).  A plan's fixed factors are C_n,
+# x^2 - 4, the extras and cheb(2l - 2 len(extras)); only ``plan_construction`` picks the construction.
 _CONSTRUCTIONS = MappingProxyType({
-    QUAD_UNIT: (0, SHAPE_QUAD_UNIT, ()),
-    QUAD_SHIFT: (1, SHAPE_QUAD_SHIFT, ()),
-    QUAD_SHIFT_GOLDEN: (1, SHAPE_QUAD_SHIFT, (IntPoly([-1, 1, 1]),)),  # x^2 + x - 1, roots (-1 +/- sqrt(5))/2
-    QUAD_SHIFT_GOLDEN_MIRROR: (1, SHAPE_QUAD_SHIFT, (IntPoly([-1, -1, 1]),)),  # x^2 - x - 1, its mirror image
+    QUAD_UNIT: (SHAPE_QUAD_UNIT, ()),
+    QUAD_SHIFT: (SHAPE_QUAD_SHIFT, ()),
+    QUAD_SHIFT_GOLDEN: (SHAPE_QUAD_SHIFT, (IntPoly([-1, 1, 1]),)),  # x^2 + x - 1, roots (-1 +/- sqrt(5))/2
+    QUAD_SHIFT_GOLDEN_MIRROR: (SHAPE_QUAD_SHIFT, (IntPoly([-1, -1, 1]),)),  # x^2 - x - 1, its mirror image
 })
 
 # the closed-form roots of a candidate's P are numerators over 2^_PROBE_BITS, each within 2^-_PROBE_BITS
@@ -105,6 +105,15 @@ class ConstructionPlan:
     def fixed_product(self) -> IntPoly:
         """F, the product of ``factors``, made once per plan; not part of the JSON."""
         return prod(self.factors, start=IntPoly([1]))
+
+    @cached_property
+    def fixed_roots(self) -> tuple[int, ...]:
+        """Numerators over 2^_PROBE_BITS of F's roots, from the closed forms of ``factors``; made on first use."""
+        _, *quadratics, last = self.factors  # C_n, x^2 - 4 and the extras, cheb(2l - 2 len(extras))
+        roots = cyclo_trace_roots_dyadic(self.n, _PROBE_BITS) + cheb_roots_dyadic(int(last.degree), _PROBE_BITS)
+        for f in quadratics:
+            roots += _quadratic_roots(f, _PROBE_BITS)
+        return tuple(roots)
 
 
 @dataclass(frozen=True)
@@ -190,7 +199,7 @@ def plan_construction(n: int, t: int) -> ConstructionPlan:
             construction = QUAD_SHIFT_GOLDEN
         else:
             construction = QUAD_SHIFT_GOLDEN_MIRROR
-    _, shape, extra = _CONSTRUCTIONS[construction]
+    shape, extra = _CONSTRUCTIONS[construction]
     return ConstructionPlan(
         construction=construction,
         n=n,
@@ -274,34 +283,24 @@ def _quadratic_roots(f: IntPoly, bits: int) -> list[int]:
     return [((-b << bits) - s) >> 1, ((-b << bits) + s) >> 1]
 
 
-@lru_cache(maxsize=None)
-def _fixed_roots(construction: str, n: int, t: int) -> Optional[tuple[int, ...]]:
-    """Numerators over 2^_PROBE_BITS of the roots of the plan's fixed factors, from their closed forms.
-
-    None, before any root is computed, when (n, t) fails the plan's hypotheses
-    or t = 3 + n/2 + 2l with l of the wrong parity for the construction.
-    """
-    l = (2 * t - n - 6) // 4
-    parity, _, extra = _CONSTRUCTIONS.get(construction, (None, None, ()))
-    if n < 1 or n % 8 != 4 or n % 5 == 0 or t % 2 == 0 or l < 0 or l % 2 != parity:
-        return None
-    roots = cyclo_trace_roots_dyadic(n, _PROBE_BITS) + cheb_roots_dyadic(2 * l - 2 * len(extra), _PROBE_BITS)
-    for f in (_XX_MINUS_4, *extra):
-        roots += _quadratic_roots(f, _PROBE_BITS)
-    return tuple(roots)
-
-
 def product_roots(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int]]:
     """The closed-form roots of P = F A_a, for the candidate T = P - 1, as (ascending numerators, 2^_PROBE_BITS).
 
-    None when (n, t, a) is not a candidate of the construction.  They are the
-    hints of ``root_pattern``, which decides T's pattern from them.
+    None unless a >= 3 and ``plan_construction(n, t)`` picks ``construction``,
+    whose plan gives F's roots.  They are the hints of ``root_pattern``, which
+    decides T's pattern from them.  An (n, t) that fails the hypotheses raises
+    in planning, so no rejected key is cached.
     """
-    fixed = None if a is None or a < 3 else _fixed_roots(construction, n, t)
-    if fixed is None:
+    if a is None or a < 3 or construction not in _CONSTRUCTIONS:
         return None
-    quadratic = _quadratic_roots(_A_FACTORS[_CONSTRUCTIONS[construction][1]](a), _PROBE_BITS)
-    return sorted((*fixed, *quadratic)), 1 << _PROBE_BITS  # t roots, by the factors' degrees
+    try:
+        plan = plan_construction(n, t)
+    except HypothesisError:
+        return None
+    if plan.construction != construction:
+        return None
+    quadratic = _quadratic_roots(_A_FACTORS[plan.a_factor_shape](a), _PROBE_BITS)
+    return sorted((*plan.fixed_roots, *quadratic)), 1 << _PROBE_BITS  # t roots, by the factors' degrees
 
 
 def search(
@@ -324,7 +323,7 @@ def search(
         raise ValueError("a_max must be at least a_min")
     if a_max - a_min >= MAX_A_SPAN:
         raise ValueError(f"a_max - a_min must be less than {MAX_A_SPAN} (got {a_max - a_min})")
-    check_bounds(n=n, t=t, digits=precision_digits)
+    check_bounds(n=n, t=t, digits=precision_digits, a=a_max)
     plan = plan_construction(n, t)
     certificates: list[SalemCertificate] = []
     failures: list[tuple[int, str]] = []

@@ -39,6 +39,9 @@ MAX_N = 10_000
 # the trace degree t of a search and of a replayed certificate; a Sturm chain
 # grows fast with t, see the measured cost in the CLI help
 MAX_T = 301
+# the last a of a search; a candidate's coefficients grow with a, see the
+# measured cost in the CLI help
+MAX_A = 10**9
 
 
 class CertificationError(Exception):
@@ -164,13 +167,14 @@ def check_bounds(
     n: Optional[int] = None,
     t: Optional[int] = None,
     digits: Optional[int] = None,
+    a: Optional[int] = None,
     poly: Optional[IntPoly] = None,
     kind: str = "trace",
 ) -> None:
     """Raise ValueError, with a one-line message, at the first given value past its bound.
 
     n, t and digits (of alpha) lie in [1, MAX_N], [1, MAX_T] and [1,
-    MAX_PRECISION]; a trace poly has degree at most MAX_T, and a "min" one at
+    MAX_PRECISION], and a (the last of a search) is at most MAX_A; a trace poly has degree at most MAX_T, and a "min" one at
     most 2 MAX_T.  Every entry point calls this once, before any Sturm chain,
     gcd or resultant; ``verify_certificate`` reads the same constants, as it
     records failures instead of raising.
@@ -181,6 +185,8 @@ def check_bounds(
         raise ValueError(f"t must be between 1 and {MAX_T} (got {t})")
     if digits is not None and not 1 <= digits <= MAX_PRECISION:
         raise ValueError(f"precision must be between 1 and {MAX_PRECISION} digits (got {digits})")
+    if a is not None and a > MAX_A:
+        raise ValueError(f"a_max must be at most {MAX_A} (got {a})")
     limit = MAX_T if kind == "trace" else 2 * MAX_T
     if poly is not None and poly.degree > limit:
         raise ValueError(f"a {kind} polynomial must have degree at most {limit} (got {int(poly.degree)})")
@@ -363,10 +369,10 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     ``kronecker-cyclotomic`` one by recomputing its gcds, a
     ``modular-degree-filter`` one only by subset sums over its stored degree
     multisets, which are never recomputed.  A constructed candidate's pattern
-    is decided from the roots of P recomputed from its construction, n, t and
-    a; they are hints, so a forged field can only send the replay to the Sturm
-    chain, as an external trace goes.  A pattern refuted there (None) fails as
-    a non-Salem one does.
+    is decided from the roots of P, taken from ``plan_construction(n, t)`` when
+    that plan names its construction, and a; they are hints, so a forged field
+    can only send the replay to the Sturm chain, as an external trace goes.  A
+    pattern refuted there (None) fails as a non-Salem one does.
     """
     from .construct import product_roots  # construct imports this module
 

@@ -11,7 +11,7 @@ import salemunits.trigpolys as trigpolys
 from salemunits.cli import main
 from salemunits.construct import MAX_A_SPAN, build_candidate, plan_construction, search
 from salemunits.intpoly import IntPoly
-from salemunits.salem import MAX_N, MAX_T
+from salemunits.salem import MAX_A, MAX_N, MAX_T
 
 
 def run(capsys, *argv):
@@ -105,6 +105,13 @@ class TestSearch:
             main(["search", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert f"less than {MAX_A_SPAN}" in text and " s " in text
+        assert f"at most {MAX_A}" in text
+
+    def test_a_over_bound_exits_2(self, capsys):
+        a_min, a_max = str(MAX_A - 1), str(MAX_A + 2)
+        code, out, err = run(capsys, "search", "--n", "92", "--t", "61", "--a-min", a_min, "--a-max", a_max)
+        assert code == 2 and out == ""
+        assert err == f"a_max must be at most {MAX_A} (got {MAX_A + 2})\n"
 
 
 class TestCertify:

@@ -1,7 +1,9 @@
 """Dispatcher table, builders against independent expansion, and the search sweep."""
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,16 @@ from salemunits.intpoly import ONE, IntPoly, resultant, lift_trace
 from salemunits import roots
 from salemunits.factor import SEPARABILITY_PRIMES
 from salemunits.roots import laguerre_fails, sturm_count, sturm_count_open
-from salemunits.salem import MAX_N, MAX_PRECISION, MAX_T, CertificationError, certify_trace
+from salemunits.salem import (
+    MAX_A,
+    MAX_N,
+    MAX_PRECISION,
+    MAX_T,
+    CertificationError,
+    SalemCertificate,
+    certify_trace,
+    verify_certificate,
+)
 from salemunits.trigpolys import cyclo_trace
 
 _x = sympy.Symbol("x")
@@ -145,11 +156,51 @@ class TestConstructionTable:
         for n, t in TABLE_PLANS:
             plan = plan_construction(n, t)
             f = plan.fixed_product.coeffs
-            fixed = sorted(construct._fixed_roots(plan.construction, n, t))
+            fixed = sorted(plan.fixed_roots)
             assert len(fixed) == plan.fixed_product.degree == t - 2, (n, t)
             assert all(y - x > 4 for x, y in zip(fixed, fixed[1:])), (n, t)
             for x in fixed:
                 assert roots._value_at(f, x - 2, den) * roots._value_at(f, x + 2, den) < 0, (n, t, x)
+
+
+class TestProductRoots:
+    """The hints come from the plan that ``plan_construction`` picks, and from nothing else."""
+
+    def test_fixed_roots_made_on_first_use(self):
+        plan = plan_construction.__wrapped__(124, 71)  # a plan of its own, not the shared one
+        assert "fixed_roots" not in vars(plan)
+        assert len(plan.fixed_roots) == 69 and "fixed_roots" in vars(plan)
+
+    def test_rejected_keys_are_not_kept(self):
+        plan_construction(44, 31)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(1000):
+                assert construct.product_roots("x" * 10_000 + str(i), 44, 31, 29) is None
+            for n in range(4, 8004, 8):  # n <= 56 are plans, most others fail t >= (n + 6)/2
+                construct.product_roots(QUAD_SHIFT, n, 31, 29)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
+
+    def test_relabelled_certificate_replays_by_the_chain(self, monkeypatch):
+        # (124, 71) is a quad-shift-golden plan, so the certificate relabelled quad-shift gets no
+        # hints, and its pattern is the chain's
+        assert plan_construction(124, 71).construction == QUAD_SHIFT_GOLDEN
+        cert = search(124, 71, 158, 158, 1).certificates[0]
+        data = cert.to_json_dict()
+        data["construction"] = QUAD_SHIFT
+        relabelled = SalemCertificate.from_json_dict(data)
+        built = []
+        init = roots.SturmChain.__init__
+        monkeypatch.setattr(roots.SturmChain, "__init__", lambda self, p: built.append(p) or init(self, p))
+        assert verify_certificate(relabelled) == []
+        assert built == [cert.trace_poly]
+        assert verify_certificate(cert) == [] and len(built) == 1
 
 
 class TestBuildCandidate:
@@ -296,6 +347,15 @@ class TestSearch:
         report = search(12, 9, 3, 3 + MAX_A_SPAN - 1, want=1)
         assert [c.a for c in report.certificates] == [3]
 
+    def test_a_bound(self):
+        # refused before planning or building any candidate: the span is fine, a itself is not
+        with pytest.raises(ValueError, match=f"a_max must be at most {MAX_A}"):
+            search(92, 61, 10**50, 10**50 + 3, 1)
+        with pytest.raises(ValueError, match="a_max must be at most"):
+            search(20, 15, MAX_A - 2, MAX_A + 1)  # 5 | n: planning would raise HypothesisError
+        report = search(92, 61, MAX_A, MAX_A, 1)
+        assert [c.a for c in report.certificates] == [MAX_A]
+
     def test_t_bound(self):
         # refused before planning; MAX_T + 2 is odd, and t = 10**30 + 1 has no feasible plan to build
         assert MAX_T % 2 == 1
@@ -386,7 +446,7 @@ class TestPatternPrecheck:
     def test_fixed_roots_match_factors(self):
         for n, t in [(4, 7), (12, 9), (28, 23), (36, 25), (44, 31), (44, 35), (92, 61), (124, 71)]:
             plan = plan_construction(n, t)
-            fixed = sorted(construct._fixed_roots(plan.construction, n, t))
+            fixed = sorted(plan.fixed_roots)
             den = 1 << construct._PROBE_BITS
             product = ONE
             for f in plan.factors:

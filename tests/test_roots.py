@@ -716,6 +716,7 @@ class TestInterlacingPattern:
             ("external", 44, 31, 29),
             ("no-such", 44, 31, 29),
             ("quad-unit", 44, 31, 29),  # l = 3 is odd: not a quad-unit plan
+            ("quad-shift", 124, 71, 158),  # a quad-shift-golden plan, of the same parity of l
             ("quad-shift", 44, 31, None),
             ("quad-shift", 44, 31, 2),
             ("quad-shift", 40, 31, 29),  # 5 | n
