@@ -39,8 +39,7 @@ MAX_N = 10_000
 # the trace degree t of a search and of a replayed certificate; a Sturm chain
 # grows fast with t, see the measured cost in the CLI help
 MAX_T = 301
-# the last a of a search; a candidate's coefficients grow with a, see the
-# measured cost in the CLI help
+# the last a of a search; coefficients grow with a, see the measured cost in the CLI help
 MAX_A = 10**9
 
 
@@ -174,10 +173,11 @@ def check_bounds(
     """Raise ValueError, with a one-line message, at the first given value past its bound.
 
     n, t and digits (of alpha) lie in [1, MAX_N], [1, MAX_T] and [1,
-    MAX_PRECISION], and a (the last of a search) is at most MAX_A; a trace poly has degree at most MAX_T, and a "min" one at
-    most 2 MAX_T.  Every entry point calls this once, before any Sturm chain,
-    gcd or resultant; ``verify_certificate`` reads the same constants, as it
-    records failures instead of raising.
+    MAX_PRECISION], and a, the last of a search, is at most MAX_A; a trace
+    poly has degree at most MAX_T, and a "min" one at most 2 MAX_T.  Every
+    entry point calls this once, before any Sturm chain, gcd or resultant;
+    ``verify_certificate`` reads the same constants, as it records failures
+    instead of raising.
     """
     if n is not None and not 1 <= n <= MAX_N:
         raise ValueError(f"n must be between 1 and {MAX_N} (got {n})")

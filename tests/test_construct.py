@@ -172,7 +172,6 @@ class TestProductRoots:
         assert len(plan.fixed_roots) == 69 and "fixed_roots" in vars(plan)
 
     def test_rejected_keys_are_not_kept(self):
-        plan_construction(44, 31)
         gc.collect()
         tracemalloc.start()
         try:
