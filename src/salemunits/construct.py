@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt, prod
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .intpoly import IntPoly, gcd_over_rationals
 from .roots import _value_at, root_pattern, sturm_count_open
@@ -78,6 +78,7 @@ class ConstructionPlan:
     ``factors`` multiplied by the a-dependent factor of ``a_factor_shape``
     (minus 1) give the degree-t candidate; ``parity_evidence``, read-only as
     plans are cached, records every exactly-computed count the selection used.
+    F, its roots and its values between them are made on first use, not here.
     """
 
     construction: str
@@ -114,6 +115,19 @@ class ConstructionPlan:
         for f in quadratics:
             roots += _quadratic_roots(f, _PROBE_BITS)
         return tuple(roots)
+
+    @cached_property
+    def fixed_values(self) -> Mapping[int, int]:
+        """D^(t-2) F(m/D) by m, for each midpoint m/D of consecutive ``fixed_roots``, D = 2^(_PROBE_BITS+1)."""
+        r, (*low, top) = sorted(self.fixed_roots), self.fixed_product.coeffs
+        shifted = [c << (_PROBE_BITS + 1) * k for k, c in enumerate(reversed(low), 1)]  # c D^k, shifted once for all m
+        values = {}
+        for m in map(sum, zip(r, r[1:])):
+            acc = top
+            for c in shifted:
+                acc = acc * m + c
+            values[m] = acc
+        return MappingProxyType(values)
 
 
 @dataclass(frozen=True)
@@ -283,13 +297,17 @@ def _quadratic_roots(f: IntPoly, bits: int) -> list[int]:
     return [((-b << bits) - s) >> 1, ((-b << bits) + s) >> 1]
 
 
-def product_roots(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int]]:
-    """The closed-form roots of P = F A_a, for the candidate T = P - 1, as (ascending numerators, 2^_PROBE_BITS).
+def product_roots(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int, Callable]]:
+    """The closed-form roots of P = F A_a, for the candidate T = P - 1, as (ascending numerators, 2^_PROBE_BITS, known).
 
     None unless a >= 3 and ``plan_construction(n, t)`` picks ``construction``,
     whose plan gives F's roots.  They are the hints of ``root_pattern``, which
     decides T's pattern from them.  An (n, t) that fails the hypotheses raises
-    in planning, so no rejected key is cached.
+    in planning, so no rejected key is cached.  ``root_pattern`` calls
+    ``known(p)``: None, with no table read, unless p is ``build_candidate(plan,
+    a)``; else a lookup that gives D^t p(m/D) = Fv (m^2 + b m D + c D^2) - D^t,
+    one product, at each midpoint m/D of F's roots, from the plan's
+    ``fixed_values`` Fv and A_a = x^2 + b x + c, and None at other points.
     """
     if a is None or a < 3 or construction not in _CONSTRUCTIONS:
         return None
@@ -299,8 +317,18 @@ def product_roots(construction: str, n: int, t: int, a: Optional[int]) -> Option
         return None
     if plan.construction != construction:
         return None
-    quadratic = _quadratic_roots(_A_FACTORS[plan.a_factor_shape](a), _PROBE_BITS)
-    return sorted((*plan.fixed_roots, *quadratic)), 1 << _PROBE_BITS  # t roots, by the factors' degrees
+    a_factor = _A_FACTORS[plan.a_factor_shape](a)
+    (c, b, _), s = a_factor.coeffs, _PROBE_BITS + 1  # A_a = x^2 + b x + c, D = 2^s
+    cdd, dt = c << 2 * s, 1 << s * t
+
+    def known(p: IntPoly) -> Optional[Callable[[int], Optional[int]]]:
+        if p != build_candidate(plan, a):
+            return None
+        table = plan.fixed_values
+        return lambda m: None if (v := table.get(m)) is None else v * (m * m + (b * m << s) + cdd) - dt
+
+    quadratic = _quadratic_roots(a_factor, _PROBE_BITS)
+    return sorted((*plan.fixed_roots, *quadratic)), 1 << _PROBE_BITS, known  # t roots, by the factors' degrees
 
 
 def search(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .intpoly import IntPoly, subresultant_prs
 
@@ -342,7 +342,7 @@ def _refine_on_grid(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, levels:
 
 
 def _hinted_pattern(
-    p: IntPoly, nums: Sequence[int], den: int
+    p: IntPoly, nums: Sequence[int], den: int, known: Optional[Callable] = None
 ) -> tuple[Optional[RootPattern], Optional[tuple[Fraction, int]]]:
     """Decide the pattern of p, of degree t >= 1, from hints: t roots num/den of a monic P, p = P - 1 in mind.
 
@@ -357,15 +357,24 @@ def _hinted_pattern(
     negative local maximum.  Then the walk climbs along p' and tests
     Laguerre's inequality; a failure at x, with a prime q that proves the
     monic p separable (``separable_mod_prime``), is the refutation.
+    Only signs are read: the lookup ``known(p)``, called once, gives values
+    where it can; the rest are Horner's, at denominator 1 at an integer point.
     """
     f, t = p.coeffs, len(p.coeffs) - 1
     if len(nums) != t or den < 1:
         return None, None
     r, one = sorted(nums), 2 * den  # points are numerators over 2 den
     mids = [x + y for x, y in zip(r, r[1:])]
-    values, d1 = {}, None
+    values, d1, at = {}, None, known(p) if known else None
+
+    def value(x: int) -> int:
+        if x not in values:
+            v = at and at(x)
+            values[x] = v if v is not None else _value_at(f, *((x // one, 1) if x % one == 0 else (x, one)))
+        return values[x]
+
     for i in sorted(range((t - 1) % 2, t - 1, 2), key=lambda i: r[i + 1] - r[i]):
-        v = values[mids[i]] = _value_at(f, mids[i], one)
+        v = value(mids[i])
         if v >= 0 or f[-1] != 1:
             continue
         if d1 is None:
@@ -387,7 +396,7 @@ def _hinted_pattern(
     upto, changes, prev = {}, 0, f[-1] if t % 2 == 0 else -f[-1]
     marks = (-2 * one, 0, one, 2 * one)
     for x in sorted({2 * r[0] - one, *mids, 2 * r[-1] + one, *marks}):
-        v = values[x] if x in values else _value_at(f, x, one)
+        v = value(x)
         if v == 0:
             return None, None
         changes += (v > 0) != (prev > 0)
@@ -398,16 +407,18 @@ def _hinted_pattern(
     return RootPattern(below, 0, c2 - below, 0, t - c2, c1 - c0, True), None
 
 
-def root_pattern(p: IntPoly, hints: Optional[tuple[Sequence[int], int]] = None) -> Optional[RootPattern]:
+def root_pattern(p: IntPoly, hints: Optional[tuple] = None) -> Optional[RootPattern]:
     """Classify all distinct real roots of p against the marks -2, 0, 1, 2.
 
-    ``hints`` = (numerators, denominator) are the t = deg p roots of a monic
-    real-rooted P with p = P - 1 in mind; other hints are ignored.  They prove
-    the pattern by sign changes, or, for monic p, return None: "separable and
-    not real-rooted", by Laguerre's inequality and a prime (``_hinted_pattern``).
-    Every answer is exact whatever the hints.  Else the chain is read once at
-    each mark: at -inf and +inf from its leading coefficients, and at -2, 0, 1
-    and 2 by integer evaluation.
+    ``hints`` = (numerators, denominator[, known]) are the t = deg p roots of a
+    monic real-rooted P with p = P - 1 in mind; other hints are ignored.  They
+    prove the pattern by sign changes, or, for monic p, return None: "separable
+    and not real-rooted", by Laguerre's inequality and a prime
+    (``_hinted_pattern``).  ``known(p)``, called here, gives p's values at
+    points, so no Horner runs there; ``product_roots``' checks p against its
+    plan first, so they are exact.  Every answer is exact whatever the points.
+    Else the chain is read once at each mark: at -inf and +inf from its
+    leading coefficients, and at -2, 0, 1 and 2 by integer evaluation.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")

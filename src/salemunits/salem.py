@@ -370,9 +370,10 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     ``modular-degree-filter`` one only by subset sums over its stored degree
     multisets, which are never recomputed.  A constructed candidate's pattern
     is decided from the roots of P, taken from ``plan_construction(n, t)`` when
-    that plan names its construction, and a; they are hints, so a forged field
-    can only send the replay to the Sturm chain, as an external trace goes.  A
-    pattern refuted there (None) fails as a non-Salem one does.
+    that plan names its construction, and a; they are hints, and F's values
+    (``fixed_values``) serve only a T that is ``build_candidate(plan, a)``, so a
+    forged field can only send the replay to Horner or the Sturm chain, as an
+    external trace goes.  A pattern refuted there (None) fails as a non-Salem one does.
     """
     from .construct import product_roots  # construct imports this module
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -170,6 +171,16 @@ class TestProductRoots:
         plan = plan_construction.__wrapped__(124, 71)  # a plan of its own, not the shared one
         assert "fixed_roots" not in vars(plan)
         assert len(plan.fixed_roots) == 69 and "fixed_roots" in vars(plan)
+
+    def test_fixed_values_made_on_first_use(self, monkeypatch):
+        # neither the plan nor its hints make F's values; the first candidate's pattern does
+        monkeypatch.setattr(construct, "plan_construction", lru_cache(plan_construction.__wrapped__))
+        plan = construct.plan_construction(92, 61)
+        assert "fixed_values" not in vars(plan)
+        hints = construct.product_roots(plan.construction, 92, 61, 111)
+        assert "fixed_values" not in vars(plan)
+        assert roots.root_pattern(build_candidate(plan, 111), hints).is_salem(61)
+        assert len(vars(plan)["fixed_values"]) == 58
 
     def test_rejected_keys_are_not_kept(self):
         gc.collect()

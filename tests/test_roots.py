@@ -694,6 +694,29 @@ class TestInterlacingPattern:
         assert proved == 264 and len(constructions) == 4
         assert refuted > 0
 
+    def test_plan_values_agree_with_horner(self):
+        # every value the plan gives is Horner's, and the pattern, or the refutation (x, q), is the same
+        cases = [
+            (12, 9, range(3, 201)),
+            (28, 23, range(3, 201)),
+            (44, 31, range(3, 201)),
+            (92, 61, range(3, 141)),
+            (124, 71, range(158, 161)),
+        ]
+        decided = 0
+        for n, t, a_range in cases:
+            plan = plan_construction(n, t)
+            for a in a_range:
+                trace = build_candidate(plan, a)
+                nums, den, known = product_roots(plan.construction, n, t, a)
+                at = known(trace)
+                assert len(plan.fixed_values) == t - 3 and at(1) is None
+                assert all(at(m) == roots._value_at(trace.coeffs, m, 2 * den) for m in plan.fixed_values), (n, t, a)
+                by_plan = roots._hinted_pattern(trace, nums, den, known)
+                assert by_plan == roots._hinted_pattern(trace, nums, den), (n, t, a)
+                decided += by_plan != (None, None)
+        assert decided > 700
+
     def test_root_pattern_reads_points_first(self, monkeypatch):
         plan = plan_construction(44, 31)
         trace, rejected = build_candidate(plan, 29), build_candidate(plan, 5)
@@ -702,7 +725,7 @@ class TestInterlacingPattern:
         monkeypatch.setattr(SturmChain, "__init__", lambda self, p: built.append(p) or init(self, p))
         pattern = root_pattern(trace, product_roots(plan.construction, 44, 31, 29))
         assert pattern.is_salem(31) and built == []
-        nums, den = product_roots(plan.construction, 44, 31, 5)
+        nums, den, _ = product_roots(plan.construction, 44, 31, 5)
         assert root_pattern(rejected, (nums, den)) is None and built == []
         # hints that decide nothing, here one too few, leave the decision to the chain
         by_hints = root_pattern(rejected, (nums[1:], den))

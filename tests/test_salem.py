@@ -476,6 +476,26 @@ class TestInterlacingReplay:
         with pytest.raises(ValueError):
             SalemCertificate.from_json_dict(data)
 
+    def test_forged_trace_reads_no_plan_values(self, monkeypatch):
+        # one changed coefficient, with its own lift as min_poly: the trace is not the plan's
+        # candidate, so no value comes from the plan, and replay fails as for an external trace
+        from salemunits.construct import ConstructionPlan
+
+        reads = []
+        table = ConstructionPlan.__dict__["fixed_values"]
+        monkeypatch.setattr(ConstructionPlan, "fixed_values", property(lambda plan: reads.append(plan) or table.func(plan)))
+        cert = search(92, 61, 111, 111, 1).certificates[0]
+        reads.clear()
+        assert verify_certificate(self.replayed(cert)) == [] and len(reads) == 1
+        coeffs = list(cert.trace_poly.coeffs)
+        coeffs[0] += 2
+        trace = IntPoly(coeffs)
+        forged = self.replayed(cert, trace_poly=trace, min_poly=lift_trace(trace, 61))
+        reads.clear()
+        failures = verify_certificate(forged)
+        assert reads == []
+        assert failures and failures == verify_certificate(self.replayed(forged, construction="external"))
+
     def test_golden_mirror_plan(self, chains):
         plan = plan_construction(44, 35)
         assert plan.construction == "quad-shift-golden-mirror"
