@@ -20,6 +20,7 @@ from .intpoly import IntPoly, gcd_over_rationals
 from .roots import _value_at, root_pattern, sturm_count_open
 from .salem import (
     DEFAULT_PRECISION,
+    MAX_A,
     CertificationError,
     SalemCertificate,
     certify_trace,
@@ -226,19 +227,18 @@ def plan_construction(n: int, t: int) -> ConstructionPlan:
     )
 
 
-def build_candidate(plan: ConstructionPlan, a: int) -> IntPoly:
-    """The degree-t candidate trace polynomial: the plan's F times the a-factor, minus 1.
-
-    The a-factor is x^2 + b x + c, so F times it is the sum of three shifted,
-    scaled copies of F's coefficients, with no polynomial multiply.
-    """
-    if a < 3:
-        raise ValueError(f"a must be at least 3 (got {a})")
+def _candidate_coeffs(plan: ConstructionPlan, a: int) -> tuple[int, ...]:
+    """The coefficients of F A_a - 1, for A_a = x^2 + b x + c: three shifted, scaled copies of F's, no multiply."""
     c, b, _ = _A_FACTORS[plan.a_factor_shape](a).coeffs
     f = plan.fixed_product.coeffs
-    coeffs = [u + b * v + c * w for u, v, w in zip((0, 0, *f), (0, *f, 0), (*f, 0, 0))]
-    coeffs[0] -= 1
-    r = IntPoly(coeffs)
+    return tuple(u + b * v + c * w for u, v, w in zip((-1, 0, *f), (0, *f, 0), (*f, 0, 0)))  # -1 in x^2 F's empty x^0
+
+
+def build_candidate(plan: ConstructionPlan, a: int) -> IntPoly:
+    """The degree-t candidate F A_a - 1, checked; ``product_roots`` checks a trace by ``_candidate_coeffs`` alone."""
+    if a < 3:
+        raise ValueError(f"a must be at least 3 (got {a})")
+    r = IntPoly(_candidate_coeffs(plan, a))
     if r.degree != plan.t or not r.is_monic:
         raise RuntimeError(f"degree bookkeeping failed: built degree {r.degree}, expected {plan.t}")
     return r
@@ -300,16 +300,17 @@ def _quadratic_roots(f: IntPoly, bits: int) -> list[int]:
 def product_roots(construction: str, n: int, t: int, a: Optional[int]) -> Optional[tuple[list[int], int, Callable]]:
     """The closed-form roots of P = F A_a, for the candidate T = P - 1, as (ascending numerators, 2^_PROBE_BITS, known).
 
-    None unless a >= 3 and ``plan_construction(n, t)`` picks ``construction``,
-    whose plan gives F's roots.  They are the hints of ``root_pattern``, which
-    decides T's pattern from them.  An (n, t) that fails the hypotheses raises
-    in planning, so no rejected key is cached.  ``root_pattern`` calls
-    ``known(p)``: None, with no table read, unless p is ``build_candidate(plan,
-    a)``; else a lookup that gives D^t p(m/D) = Fv (m^2 + b m D + c D^2) - D^t,
-    one product, at each midpoint m/D of F's roots, from the plan's
+    None unless 3 <= a <= MAX_A, as a search's a is, and ``plan_construction(n,
+    t)`` picks ``construction``, whose plan gives F's roots.  They are the hints
+    of ``root_pattern``, which decides T's pattern from them.  An (n, t) that
+    fails the hypotheses raises in planning, so no rejected key is cached.
+    ``root_pattern`` calls ``known(p)``: None, with no table read, unless p's
+    coefficients are ``_candidate_coeffs(plan, a)``, which builds no IntPoly;
+    else a lookup that gives D^t p(m/D) = Fv (m^2 + b m D + c D^2) - D^t, one
+    product, at each midpoint m/D of F's roots, from the plan's
     ``fixed_values`` Fv and A_a = x^2 + b x + c, and None at other points.
     """
-    if a is None or a < 3 or construction not in _CONSTRUCTIONS:
+    if a is None or not 3 <= a <= MAX_A or construction not in _CONSTRUCTIONS:
         return None
     try:
         plan = plan_construction(n, t)
@@ -322,7 +323,7 @@ def product_roots(construction: str, n: int, t: int, a: Optional[int]) -> Option
     cdd, dt = c << 2 * s, 1 << s * t
 
     def known(p: IntPoly) -> Optional[Callable[[int], Optional[int]]]:
-        if p != build_candidate(plan, a):
+        if p.coeffs != _candidate_coeffs(plan, a):
             return None
         table = plan.fixed_values
         return lambda m: None if (v := table.get(m)) is None else v * (m * m + (b * m << s) + cdd) - dt

@@ -47,8 +47,8 @@ class CertificationError(Exception):
     """Structured rejection naming the first failed certification check.
 
     Checks run in fixed order: monic, degree, separability, root_pattern,
-    irreducibility, lift, resultant (cheap exact gates before the expensive
-    irreducibility decision).
+    irreducibility, resultant (cheap exact gates before the expensive
+    irreducibility decision); the lift of a monic trace needs no check.
     """
 
     def __init__(self, check: str, message: str, data: Optional[dict] = None):
@@ -253,7 +253,7 @@ def certify_trace(
     """Certify a candidate trace polynomial, or raise CertificationError at the first failed check.
 
     Check order: monic/degree gates, separability, root pattern,
-    irreducibility, reciprocal lift, unit resultant.  All arithmetic is exact.
+    irreducibility, unit resultant of the lift.  All arithmetic is exact.
     n, the precision and deg T <= MAX_T are bounded first, by ValueError.
     A constructed candidate's pattern, and with it separability, is decided
     from the closed-form roots of its P by ``root_pattern``, with no Sturm
@@ -298,10 +298,7 @@ def _certify_trace(
             {"factor": witness.factor.to_text() if witness.factor else None},
         )
 
-    s_poly = lift_trace(trace, t)
-    if not is_reciprocal(s_poly) or int(s_poly.degree) != 2 * t:
-        raise CertificationError("lift", "lifted polynomial is not reciprocal of degree 2t")
-
+    s_poly = lift_trace(trace, t)  # monic and reciprocal of degree 2t, as trace is monic of degree t
     res = unit_check(s_poly, n) if res is None else res
     if abs(res) != 1:
         raise _resultant_error(n, res)
@@ -364,16 +361,16 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     polynomial, 1 <= n <= MAX_N and the stored value is +-1, so a forged
     ``min_poly``, n or value fails at once.  The beta interval is checked to
     bracket the one root above 2, by a sign change of T, and to lie in
-    (a-1, a), by one there, when a is recorded.  The irreducibility witness
-    is replayed from its detail on the pattern proved here: a
-    ``kronecker-cyclotomic`` one by recomputing its gcds, a
-    ``modular-degree-filter`` one only by subset sums over its stored degree
-    multisets, which are never recomputed.  A constructed candidate's pattern
-    is decided from the roots of P, taken from ``plan_construction(n, t)`` when
-    that plan names its construction, and a; they are hints, and F's values
-    (``fixed_values``) serve only a T that is ``build_candidate(plan, a)``, so a
-    forged field can only send the replay to Horner or the Sturm chain, as an
-    external trace goes.  A pattern refuted there (None) fails as a non-Salem one does.
+    (a-1, a), by one there, when a is recorded and a - 1 is below T's Cauchy
+    bound.  The irreducibility witness is replayed from its detail on the
+    pattern proved here: a ``kronecker-cyclotomic`` one by recomputing its
+    gcds, a ``modular-degree-filter`` one only by subset sums over its stored
+    degree multisets, which are never recomputed.  A constructed candidate's
+    pattern is decided from the roots of P, taken from ``plan_construction(n,
+    t)`` when that plan names its construction, and a <= MAX_A; they are hints,
+    and F's values (``fixed_values``) serve only a T that is the plan's for a,
+    so a forged field can only send the replay to Horner or the Sturm chain, as
+    an external trace goes.  A pattern refuted there (None) fails as a non-Salem one does.
     """
     from .construct import product_roots  # construct imports this module
 
@@ -409,8 +406,11 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
         or alpha_from_beta(iv, cert.alpha_precision, trace)[0] != cert.alpha_decimal
     ):
         failures.append("alpha")
-    # with the pattern, a root in (a-1, a), a - 1 >= 2, is the one above 2
+    # with the pattern, a root in (a-1, a), a - 1 >= 2, is the one above 2; T has no root past
+    # its Cauchy bound, so an a with a - 1 at or past it fails with no evaluation of T
     a = cert.a
-    if a is not None and (a < 3 or _sign_at(f, Fraction(a - 1)) * _sign_at(f, Fraction(a)) >= 0):
+    if a is not None and (
+        a < 3 or a - 1 >= cauchy_bound(trace) or _sign_at(f, Fraction(a - 1)) * _sign_at(f, Fraction(a)) >= 0
+    ):
         failures.append("beta_location")
     return failures

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import salemunits.cli as cli
 import salemunits.trigpolys as trigpolys
 from salemunits.cli import main
 from salemunits.construct import MAX_A_SPAN, build_candidate, plan_construction, search
@@ -79,6 +80,17 @@ class TestSearch:
         assert lines[1].startswith("3,certified,")
         digits = lines[1].split(",")[2]
         assert len(digits.split(".")[1]) == 15
+
+    def test_text_report(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "--n", "44", "--t", "31", "--a-min", "25", "--a-max", "29", "--want", "1",
+            "--format", "text",
+        )
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[:3] == ["search n=44 t=31 a in [25, 29]", "plan quad-shift k=1", "certificates: 1 (distinct: 1)"]
+        assert lines[3].startswith("  a=29  alpha=28.00127370952219") and lines[3].endswith("  |Res|=1")
+        assert lines[4:] == [f"  a={a}  failed: root_pattern" for a in range(25, 29)]
 
     def test_empty_search_exits_4(self, capsys):
         code, out, _ = run(capsys, "search", "--n", "12", "--t", "15", "--a-max", "5", "--format", "csv")
@@ -191,6 +203,19 @@ class TestCertify:
         code, out, err = run(capsys, "certify", "--from-report", str(path))
         assert code == 5 and err == ""
         assert [line.split()[0] for line in out.splitlines()] == ["OK", "FAIL"]
+
+    def test_from_report_replay_error(self, capsys, tmp_path, monkeypatch):
+        # a replay that raises fails its certificate with one line, not a traceback
+        path = tmp_path / "report.json"
+        run(capsys, "search", "--n", "12", "--t", "9", "--want", "1", "--output", str(path))
+
+        def broken(cert):
+            raise ArithmeticError("no replay")
+
+        monkeypatch.setattr(cli, "verify_certificate", broken)
+        code, out, err = run(capsys, "certify", "--from-report", str(path))
+        assert code == 5 and err == ""
+        assert out.splitlines() == ["FAIL n=12 t=9 a=3: replay error (no replay)"]
 
     def test_min_poly_unit_gap(self, capsys):
         code, _, err = run(capsys, "certify", "1,-3,1", "--n", "2")

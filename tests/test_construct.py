@@ -212,6 +212,19 @@ class TestProductRoots:
         assert built == [cert.trace_poly]
         assert verify_certificate(cert) == [] and len(built) == 1
 
+    def test_one_build_per_candidate(self, monkeypatch):
+        # the hints check a trace by the kernel alone: search builds each candidate once, and
+        # replay builds none
+        built = []
+        build = construct.build_candidate
+        monkeypatch.setattr(construct, "build_candidate", lambda plan, a: built.append(a) or build(plan, a))
+        report = search(92, 61, 111, 115, 5)
+        assert built == [111, 112, 113, 114, 115] and len(report.certificates) == 5
+        built.clear()
+        for cert in report.certificates:
+            assert verify_certificate(SalemCertificate.from_json_dict(cert.to_json_dict())) == []
+        assert built == []
+
 
 class TestBuildCandidate:
     def test_expected_shape_12_9(self):

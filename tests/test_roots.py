@@ -33,7 +33,14 @@ from salemunits.roots import (
     sturm_count,
     sturm_count_open,
 )
-from salemunits.salem import CertificationError, SalemCertificate, alpha_from_beta, certify_trace, verify_certificate
+from salemunits.salem import (
+    MAX_A,
+    CertificationError,
+    SalemCertificate,
+    alpha_from_beta,
+    certify_trace,
+    verify_certificate,
+)
 from salemunits.trigpolys import cheb, cyclo_trace
 
 
@@ -742,6 +749,7 @@ class TestInterlacingPattern:
             ("quad-shift", 124, 71, 158),  # a quad-shift-golden plan, of the same parity of l
             ("quad-shift", 44, 31, None),
             ("quad-shift", 44, 31, 2),
+            ("quad-shift", 44, 31, MAX_A + 1),  # no search makes it: it replays by the chain
             ("quad-shift", 40, 31, 29),  # 5 | n
             ("quad-shift", 42, 31, 29),  # n = 2 mod 8
             ("quad-shift", 44, 30, 29),  # t even

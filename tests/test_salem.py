@@ -496,6 +496,21 @@ class TestInterlacingReplay:
         assert reads == []
         assert failures and failures == verify_certificate(self.replayed(forged, construction="external"))
 
+    def test_huge_a_reads_no_huge_point(self, monkeypatch):
+        # an a of 4,001 digits is past MAX_A, so it gives no hints, and a - 1 is past T's Cauchy
+        # bound, so T is not evaluated at a - 1 or a: every point replay reads stays short
+        cert = search(92, 61, 111, 111, 1).certificates[0]
+        bits = []
+        value_at = roots._value_at
+
+        def recording(f, num, den):
+            bits.append(max(num.bit_length(), den.bit_length()))
+            return value_at(f, num, den)
+
+        monkeypatch.setattr(roots, "_value_at", recording)
+        assert verify_certificate(self.replayed(cert, a=10**4000)) == ["beta_location"]
+        assert bits and max(bits) <= 1000
+
     def test_golden_mirror_plan(self, chains):
         plan = plan_construction(44, 35)
         assert plan.construction == "quad-shift-golden-mirror"
