@@ -27,8 +27,9 @@ from .roots import RootPattern
 
 _FILTER_PRIME_COUNT = 5
 _BLOCK = 8  # degrees per gcd in _degree_multiset
-# (q, residues) verdicts kept by _squarefree_mod; one plan meets at most sum(SEPARABILITY_PRIMES) = 1058
-_SQUAREFREE_MEMO = 4096
+# entries of each (q, T mod q) memo: one plan meets at most sum(SEPARABILITY_PRIMES) = 1058 classes, and
+# both memos full of degree-MAX_T keys keep at most 8 MB (tests/test_factor.py measures it)
+_RESIDUE_MEMO = 2048
 # the primes, in order, that the separability and filter tests try: the odd ones below 100, a bounded search
 SEPARABILITY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 KRONECKER = "kronecker-cyclotomic"
@@ -195,7 +196,18 @@ def _degree_multiset(f: Sequence[int], q: int) -> tuple[int, ...]:
     return tuple(sorted(degs))
 
 
+@lru_cache(maxsize=_RESIDUE_MEMO)
+def _multiset_mod(q: int, residues: bytes) -> tuple[int, ...]:
+    """``_degree_multiset`` of the monic f with these coefficients mod q, once per (q, f mod q)."""
+    return _degree_multiset(residues, q)
+
+
 # -- the decision procedure -----------------------------------------------------
+
+
+def _residues(p: IntPoly, q: int) -> bytes:
+    """p mod q, ascending: the key of both memos, as every prime of SEPARABILITY_PRIMES is below 256."""
+    return bytes(c % q for c in p.coeffs)
 
 
 def _good_primes(p: IntPoly, count: int) -> list[int]:
@@ -207,12 +219,12 @@ def _good_primes(p: IntPoly, count: int) -> list[int]:
     a search, whose residues mod q repeat with period q in a, share one gcd
     per residue class.
     """
-    good = (q for q in SEPARABILITY_PRIMES if _squarefree_mod(q, tuple(c % q for c in p.coeffs)))
+    good = (q for q in SEPARABILITY_PRIMES if _squarefree_mod(q, _residues(p, q)))
     return list(islice(good, count))
 
 
-@lru_cache(maxsize=_SQUAREFREE_MEMO)
-def _squarefree_mod(q: int, residues: tuple[int, ...]) -> bool:
+@lru_cache(maxsize=_RESIDUE_MEMO)
+def _squarefree_mod(q: int, residues: bytes) -> bool:
     """gcd(a, a') = 1 mod q for the a with these coefficients mod q, ascending.
 
     p' mod q follows from p mod q, so the verdict on p is this one, exact for
@@ -295,7 +307,9 @@ def is_irreducible(p: IntPoly, pattern: RootPattern) -> IrreducibilityWitness:
     (see :func:`verify_witness`).  Raises ValueError on non-monic,
     non-squarefree or constant input, and when the filter gives no verdict on
     a polynomial without the Salem root pattern.  The filter gives none when
-    fewer than five primes of SEPARABILITY_PRIMES keep p squarefree.
+    fewer than five primes of SEPARABILITY_PRIMES keep p squarefree.  Its
+    multisets are memoized on (q, p mod q), as the separability verdicts are,
+    so a search runs one factorization per prime and residue class.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("need a polynomial of degree at least 1")
@@ -306,7 +320,7 @@ def is_irreducible(p: IntPoly, pattern: RootPattern) -> IrreducibilityWitness:
     deg = int(p.degree)
     primes = _good_primes(p, _FILTER_PRIME_COUNT)
     if len(primes) == _FILTER_PRIME_COUNT:
-        multisets = [_degree_multiset(p.coeffs, q) for q in primes]
+        multisets = [_multiset_mod(q, _residues(p, q)) for q in primes]
         if _filter_proves_irreducible(deg, multisets):
             return IrreducibilityWitness(
                 verdict="irreducible",
@@ -320,8 +334,10 @@ def is_irreducible(p: IntPoly, pattern: RootPattern) -> IrreducibilityWitness:
 def verify_witness(p: IntPoly, witness: IrreducibilityWitness, pattern: Optional[RootPattern]) -> bool:
     """Replay a witness from its stored detail without re-deciding.
 
-    Reducible: one exact division.  Filter: recompute the subset-sum
-    intersection from the stored degree multisets.  Kronecker (and the legacy
+    Reducible: one exact division.  Filter: each stored prime must be in
+    SEPARABILITY_PRIMES and keep p squarefree, and its stored degree multiset
+    must be the one recomputed mod it (``_multiset_mod``, so a search's replay
+    reads the multisets it made); then the subset sums.  Kronecker (and the legacy
     exact-factorization method): check that ``pattern``, which the caller
     proved for p, is Salem's, then run the three gcds; None is a refuted pattern.
     """
@@ -337,13 +353,19 @@ def verify_witness(p: IntPoly, witness: IrreducibilityWitness, pattern: Optional
     if witness.verdict != "irreducible":
         return False
     if witness.method == "modular-degree-filter":
-        if not witness.primes or len(witness.primes) != len(witness.degree_multisets):
+        if not p.is_monic or p.degree < 1 or not witness.primes:
             return False
-        deg = int(p.degree)
-        for ms in witness.degree_multisets:
-            if not all(type(d) is int and d > 0 for d in ms) or sum(ms) != deg:
+        if len(witness.primes) != len(witness.degree_multisets):
+            return False
+        multisets = []
+        for q, stored in zip(witness.primes, witness.degree_multisets):
+            if type(q) is not int or q not in SEPARABILITY_PRIMES:
                 return False
-        return _filter_proves_irreducible(deg, witness.degree_multisets)
+            key = _residues(p, q)
+            if not _squarefree_mod(q, key) or (ms := _multiset_mod(q, key)) != stored:
+                return False
+            multisets.append(ms)
+        return _filter_proves_irreducible(int(p.degree), multisets)
     if witness.method in (KRONECKER, "exact-factorization"):
         return p.is_monic and pattern is not None and pattern.is_salem(int(p.degree)) and _cyclotomic_factor(p) is None
     return False

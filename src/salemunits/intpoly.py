@@ -314,19 +314,22 @@ def lift_trace(tr: IntPoly, half_degree: int) -> IntPoly:
     """Lift a degree-t trace polynomial T to S(x) = x^t * T(x + 1/x) of degree 2t.
 
     The output is always palindromic; it is monic of degree exactly 2t when T
-    is monic of degree t.
+    is monic of degree t.  S is T's coefficients c_j by Horner in x^2 + 1,
+    R <- R (x^2 + 1) + c_j x^(t - j) for j = t, ..., 0, on R packed into one
+    int as its value at x = 2^w.  |S_i| < max |c_j| 2^(t + 1), so with whole
+    bytes of w >= bits(max |c_j|) + t + 2 bits, adding 2^(w - 1) to every slot
+    makes each one S_i + 2^(w - 1), in [0, 2^w), read off byte by byte.
     """
     t = half_degree
     if tr.degree != t:
         raise ValueError(f"trace polynomial has degree {tr.degree}, expected {t}")
-    out = [0] * (2 * t + 1)
-    for j, c in enumerate(tr.coeffs):
-        if c == 0:
-            continue
-        # c * x^(t-j) * (x^2 + 1)^j contributes c*C(j, i) at degree (t-j) + 2i
-        for i in range(j + 1):
-            out[t - j + 2 * i] += c * math.comb(j, i)
-    return IntPoly(out)
+    width = (max(map(abs, tr.coeffs)).bit_length() + t + 9) // 8  # bytes per slot
+    w, r = 8 * width, 0
+    for j in range(t, -1, -1):
+        r += (r << (2 * w)) + (tr.coeffs[j] << (w * (t - j)))
+    r += int.from_bytes((bytes(width - 1) + b"\x80") * (2 * t + 1), "little")  # 2^(w - 1) in each slot
+    packed, half = r.to_bytes(width * (2 * t + 1), "little"), 1 << (w - 1)
+    return IntPoly(int.from_bytes(packed[i : i + width], "little") - half for i in range(0, len(packed), width))
 
 
 def is_reciprocal(p: IntPoly) -> bool:

@@ -364,8 +364,8 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     (a-1, a), by one there, when a is recorded and a - 1 is below T's Cauchy
     bound.  The irreducibility witness is replayed from its detail on the
     pattern proved here: a ``kronecker-cyclotomic`` one by recomputing its
-    gcds, a ``modular-degree-filter`` one only by subset sums over its stored
-    degree multisets, which are never recomputed.  A constructed candidate's
+    gcds, a ``modular-degree-filter`` one by recomputing each stored degree
+    multiset mod its prime, then its subset sums.  A constructed candidate's
     pattern is decided from the roots of P, taken from ``plan_construction(n,
     t)`` when that plan names its construction, and a <= MAX_A; they are hints,
     and F's values (``fixed_values``) serve only a T that is the plan's for a,

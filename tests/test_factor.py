@@ -3,6 +3,7 @@
 import random
 import signal
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from salemunits.factor import (
     verify_witness,
 )
 from salemunits.intpoly import IntPoly, resultant
+from salemunits.salem import MAX_T
 from salemunits.roots import RootPattern, SturmChain, is_separable, root_pattern
 from salemunits.trigpolys import extract_trace
 
@@ -229,6 +231,24 @@ class TestWitnessReplay:
         )
         assert not replay(p, corrupted)
 
+    def test_forged_multisets_fail(self):
+        # (x^2 - 3)(x^2 - 5) is reducible; mod 3 it is x^2 (x^2 + 1), not squarefree
+        p = IntPoly([-3, 0, 1]) * IntPoly([-5, 0, 1])
+        assert not replay(p, IrreducibilityWitness("irreducible", "modular-degree-filter", (3,), ((4,),)))
+        # (44,31) a = 29 is not squarefree mod 11: its degrees mod 11, though recomputed, prove nothing
+        p = build_candidate(plan_construction(44, 31), 29)
+        w = decide(p)
+        multisets = (_degree_multiset(p.coeffs, 11),) + w.degree_multisets[1:]
+        assert 11 not in _good_primes(p, len(SEPARABILITY_PRIMES)) and factor._filter_proves_irreducible(31, multisets)
+        assert not replay(p, replace(w, primes=(11,) + w.primes[1:], degree_multisets=multisets))
+        # a genuine witness with one multiset, or one prime, forged: 2 and 101 are outside the table
+        p = build_candidate(plan_construction(92, 61), 111)
+        w = decide(p)
+        assert w.method == "modular-degree-filter" and replay(p, w)
+        assert not replay(p, replace(w, degree_multisets=((61,),) + w.degree_multisets[1:]))
+        for outside in (2, 101, 3.0):
+            assert not replay(p, replace(w, primes=(outside,) + w.primes[1:]))
+
     def test_kronecker_replay(self):
         p = build_candidate(plan_construction(12, 9), 18)
         for method in (KRONECKER, "exact-factorization"):
@@ -426,7 +446,9 @@ class TestDegreeMultiset:
     )
     def test_witness_bytes_pinned(self, plan, a, expected):
         # recorded with the earlier list-based kernels: certificates must not change
-        assert decide(build_candidate(plan_construction(*plan), a)).to_json_dict() == expected
+        p = build_candidate(plan_construction(*plan), a)
+        w = decide(p)
+        assert w.to_json_dict() == expected and replay(p, w)
 
 
 def _unpack(k: _Packed, a: int, length: int) -> list[int]:
@@ -569,6 +591,61 @@ class TestSquarefreeMemo:
         assert not report.certificates and {check for _, check in report.failures} == {"root_pattern"}
         assert len(keys) > len(set(keys)) > 0
         assert gcds["gcd"] == len(set(keys))
+
+
+class TestMultisetMemo:
+    """The filter's factor degrees are a function of (q, p mod q), factored once per key, in bounded memory."""
+
+    @given(st.sampled_from(SWEEP_PLANS + [(92, 61), (124, 71)]), st.integers(3, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_multisets_have_period_q(self, nt, a):
+        plan = plan_construction(*nt)
+        p = build_candidate(plan, a)
+        for q in _good_primes(p, 5):
+            assert _degree_multiset(p.coeffs, q) == _degree_multiset(build_candidate(plan, a + q).coeffs, q), (nt, a, q)
+
+    def test_one_factorization_per_residue_class(self, monkeypatch):
+        keys, runs = [], Counter()
+        memo, kernel = factor._multiset_mod, factor._degree_multiset
+
+        def recording(q, residues):
+            keys.append((q, residues))
+            return memo(q, residues)
+
+        def counting(f, q):
+            runs[q, bytes(f)] += 1
+            return kernel(f, q)
+
+        monkeypatch.setattr(factor, "_multiset_mod", recording)
+        monkeypatch.setattr(factor, "_degree_multiset", counting)
+        memo.cache_clear()
+        report = search(92, 61, 111, 200, 1000)
+        assert report.certificates and len(keys) > len(set(keys))
+        assert runs == Counter(set(keys))
+
+    def test_full_memos_stay_under_8_mb(self, monkeypatch):
+        # distinct forged degree-MAX_T keys, past both memos' size; each multiset as long as a
+        # degree-MAX_T one can be, and no gcd run, so that filling takes well under a second
+        monkeypatch.setattr(_Packed, "gcd", lambda self, a, b: 1)
+        monkeypatch.setattr(factor, "_degree_multiset", lambda f, q: (1,) * (len(f) - 1))
+        rng = random.Random(97)
+        factor._squarefree_mod.cache_clear()
+        factor._multiset_mod.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(factor._RESIDUE_MEMO + 100):
+                factor._squarefree_mod(97, bytes(rng.randrange(97) for _ in range(MAX_T)) + b"\x01")
+                factor._multiset_mod(97, bytes(rng.randrange(97) for _ in range(MAX_T)) + b"\x01")
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            factor._squarefree_mod.cache_clear()
+            factor._multiset_mod.cache_clear()
+        # bounded: an unbounded memo would also pass the figure with this many keys
+        for memo in (factor._squarefree_mod, factor._multiset_mod):
+            assert memo.cache_info().maxsize == factor._RESIDUE_MEMO
+        assert kept < 8 * 2**20, kept
 
 
 class TestSeparableModPrime:

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: examples, ring laws, and dual-route resultant checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from salemunits.intpoly import (
     resultant,
     subresultant_prs,
 )
+from salemunits.salem import MAX_T
 
 polys = st.builds(IntPoly, st.lists(st.integers(-50, 50), max_size=21))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
@@ -225,6 +227,21 @@ class TestTraceLift:
         assert is_reciprocal(s)
         assert s.degree == 2 * t
         assert s.coeffs[::-1] == s.coeffs
+
+    @given(st.integers(0, MAX_T), st.sampled_from([1, 8, 64, 600]), st.booleans(), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_binomial_formula(self, t, bits, extreme, seed):
+        # extreme: every coefficient +-2^bits of one sign, the largest slots the packed Horner meets
+        rng = random.Random(seed)
+        sign = rng.choice([1, -1])
+        coeffs = [sign << bits] * (t + 1) if extreme else [rng.randint(-(2**bits), 2**bits) for _ in range(t)] + [1]
+        tr = IntPoly(coeffs)
+        # c x^(t - j) (x^2 + 1)^j puts c C(j, i) at degree t - j + 2i
+        out = [0] * (2 * t + 1)
+        for j, c in enumerate(tr.coeffs):
+            for i in range(j + 1):
+                out[t - j + 2 * i] += c * math.comb(j, i)
+        assert lift_trace(tr, t) == IntPoly(out)
 
     def test_evaluation_identity(self):
         import random
