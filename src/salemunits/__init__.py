@@ -17,7 +17,6 @@ from .construct import (
     HypothesisError,
     SearchReport,
     build_candidate,
-    build_linear_family,
     plan_construction,
     search,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "HypothesisError",
     "SearchReport",
     "build_candidate",
-    "build_linear_family",
     "plan_construction",
     "search",
 ]

@@ -76,8 +76,6 @@ def _value_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
     evaluate only at such points, and so does ``_refine_on_grid`` on an
     interval with dyadic ends.
     """
-    if den == 1 and 0 <= num <= 1:  # a plan's Sturm cross-checks read every chain at 0 and 1
-        return sum(coeffs) if num else coeffs[0]
     acc, s = coeffs[-1], den.bit_length() - 1
     if den == 1 << s:
         for k, c in enumerate(coeffs[-2::-1], 1):

@@ -2,14 +2,14 @@
 
 ``cheb(k)`` is the monic degree-k integer polynomial with cheb(k)(2cos u) =
 2cos(k u); ``cyclo_trace(n)`` is the trace polynomial of (x^n - 1)/(x - 1) for
-odd n, resp. (x^n - 1)/(x^2 - 1) for even n, generated exactly by reciprocal
-trace extraction — never from floating cosines.
+odd n, resp. (x^n - 1)/(x^2 - 1) for even n.  Both are built exactly from
+their coefficient formulas, and their root counts on (0, 1) have closed forms
+(Mason & Handscomb, *Chebyshev Polynomials*, 2003) — never floating cosines.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .intpoly import IntPoly, is_reciprocal
 
@@ -18,7 +18,6 @@ from .intpoly import IntPoly, is_reciprocal
 _EPSILON_BY_K_MOD_6 = {0: 0, 1: 1, 2: 2, 3: 3, 4: -2, 5: 5}
 
 
-@lru_cache(maxsize=None)
 def cheb(k: int) -> IntPoly:
     """Monic Chebyshev-style polynomial of degree k.
 
@@ -34,8 +33,6 @@ def cheb(k: int) -> IntPoly:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    if k == 0:
-        return IntPoly([1])
     out = [0] * (k + 1)
     c = 1
     for j in range(k // 2 + 1):
@@ -69,26 +66,34 @@ def extract_trace(p: IntPoly) -> IntPoly:
     return IntPoly(out)
 
 
-@lru_cache(maxsize=None)
+def _u_half(m: int) -> list[int]:
+    """Ascending coefficients of U_m(x/2), [] for m = -1: (-1)^j C(m-j, j) at x^(m-2j), built as ``cheb`` is."""
+    out = [0] * (m + 1)
+    c = 1
+    for j in range(m // 2 + 1):
+        out[m - 2 * j] = c
+        if 2 * j + 2 <= m:
+            c = -c * (m - 2 * j) * (m - 2 * j - 1) // ((j + 1) * (m - j))
+    return out
+
+
 def cyclo_trace(n: int) -> IntPoly:
-    """Trace polynomial whose roots are 2cos(2j pi / n).
+    """Trace polynomial whose roots are 2cos(2j pi / n), j = 1..(n-1)//2.
 
     Degree (n-1)/2 for odd n and (n-2)/2 for even n; n = 1, 2 give the
-    constant 1.  Computed exactly by trace extraction from the geometric-sum
-    polynomial (x^n - 1)/(x - 1), resp. (x^n - 1)/(x^2 - 1).
+    constant 1.  As U_m(2cos u / 2) = sin((m+1)u)/sin(u), it is U_m(x/2) with
+    m = n/2 - 1 for even n, and U_m(x/2) + U_(m-1)(x/2) for odd n = 2m + 1,
+    built from their coefficient formulas in O(n) big-integer operations.
 
     >>> cyclo_trace(12)
     IntPoly('x^5 - 4x^3 + 3x')
     """
     if n < 1:
         raise ValueError("index must be positive")
-    if n <= 2:
-        return IntPoly([1])
-    if n % 2 == 1:
-        u = IntPoly([1] * n)  # 1 + x + ... + x^(n-1)
-    else:
-        u = IntPoly([c for j in range(n // 2) for c in (1, 0)][:-1])  # 1 + x^2 + ... + x^(n-2)
-    return extract_trace(u)
+    if n % 2 == 0:
+        return IntPoly(_u_half(n // 2 - 1))
+    m = n // 2
+    return IntPoly([c + d for c, d in zip(_u_half(m), _u_half(m - 1) + [0])])
 
 
 def _pi_fixed(w: int) -> int:
@@ -171,12 +176,11 @@ def cheb_roots_in_unit_interval(k: int) -> int:
 
 
 def cyclo_trace_roots_in_unit_interval(n: int) -> int:
-    """Exact count of roots of cyclo_trace(n) in the open interval (0, 1).
+    """Number of roots of cyclo_trace(n) in the open interval (0, 1), in closed form.
 
-    Computed by Sturm root counting, not trigonometry.
+    A root 2cos(2j pi / n) lies in (0, 1) iff pi/3 < 2j pi / n < pi/2, that
+    is n/6 < j < n/4, which holds for (n-1)//4 - n//6 integers j.
     """
     if n < 3:
         raise ValueError("index must be at least 3")
-    from .roots import sturm_count_open
-
-    return sturm_count_open(cyclo_trace(n), 0, 1)
+    return (n - 1) // 4 - n // 6

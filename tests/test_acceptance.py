@@ -20,7 +20,6 @@ from salemunits.construct import (
     QUAD_SHIFT_GOLDEN_MIRROR,
     QUAD_UNIT,
     HypothesisError,
-    build_linear_family,
     plan_construction,
     search,
 )
@@ -146,11 +145,12 @@ def test_criterion_6_higher_degree_witnesses():
 
 
 def test_criterion_7_linear_family_regression():
+    # the degree-3 traces (x^2 - 4)(x - a) - 1, certified as external traces
     certs = []
     for a in range(3, 101):
-        candidate = build_linear_family(2, 3, ONE, a)
+        candidate = IntPoly([-4, 0, 1]) * IntPoly([-a, 1]) - 1
         try:
-            cert = certify_trace(candidate, 2, construction="linear", a=a)
+            cert = certify_trace(candidate, 2, a=a)
         except CertificationError:
             continue
         certs.append(cert)

@@ -12,7 +12,6 @@ import sympy
 
 from salemunits import construct
 from salemunits.construct import (
-    LINEAR,
     MAX_A_SPAN,
     QUAD_SHIFT,
     QUAD_SHIFT_GOLDEN,
@@ -20,7 +19,6 @@ from salemunits.construct import (
     QUAD_UNIT,
     HypothesisError,
     build_candidate,
-    build_linear_family,
     plan_construction,
     search,
 )
@@ -38,7 +36,8 @@ from salemunits.salem import (
     certify_trace,
     verify_certificate,
 )
-from salemunits.trigpolys import cyclo_trace
+from salemunits import trigpolys
+from salemunits.trigpolys import cheb, cyclo_trace
 
 _x = sympy.Symbol("x")
 
@@ -51,6 +50,12 @@ def sympy_expand(factors, a_poly) -> IntPoly:
     expr = sympy.expand(expr - 1)
     poly = sympy.Poly(expr, _x)
     return IntPoly(poly.all_coeffs()[::-1])
+
+
+# every (n, t) that check_bounds and the hypotheses admit: n = 4 mod 8, 5 not dividing n, odd t in
+# [(n+6)/2, MAX_T]; the sha256 of json.dumps of their to_json_dict() list, sort_keys=True
+ADMITTED_PLANS = [(n, t) for n in range(4, 597, 8) if n % 5 for t in range((n + 6) // 2, MAX_T + 1, 2)]
+ADMITTED_PLANS_DIGEST = "920bd2cde3d8a7bce0500db9ba63d712f5d9e995bcd4e6210bcf2ff931ed7539"
 
 
 class TestDispatch:
@@ -97,6 +102,12 @@ class TestDispatch:
         assert ev["roots01_cheb_shift"] == 2
         assert ev["roots01_cheb_even"] == 1
         assert ev["roots01_product"] == 5
+        # the product count is the sum of its factors' counts, checked by Sturm on every odd-l plan
+        for n, t in [(n, t) for n, t in ADMITTED_PLANS if t <= 101]:
+            ev = plan_construction(n, t).parity_evidence
+            if ev["l"] % 2:
+                product = cyclo_trace(n) * cheb(2 + 4 * ev["k"])
+                assert ev["roots01_product"] == sturm_count_open(product, 0, 1), (n, t)
 
     def test_plan_made_once_and_read_only(self):
         plan = plan_construction(44, 35)
@@ -150,6 +161,21 @@ class TestConstructionTable:
         data = json.dumps([plan.to_json_dict() for plan in plans], sort_keys=True).encode()
         assert hashlib.sha256(data).hexdigest() == TABLE_PLANS_DIGEST
 
+    def test_every_admitted_plan_unchanged(self):
+        plans = [plan_construction.__wrapped__(n, t) for n, t in ADMITTED_PLANS]
+        assert len(plans) == 4500
+        data = json.dumps([plan.to_json_dict() for plan in plans], sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == ADMITTED_PLANS_DIGEST
+
+    def test_plans_build_no_sturm_chain_and_extract_no_trace(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a plan built a Sturm chain or extracted a trace")
+
+        monkeypatch.setattr(roots.SturmChain, "__init__", refuse)
+        monkeypatch.setattr(trigpolys, "extract_trace", refuse)
+        for n, t in ADMITTED_PLANS:
+            plan_construction.__wrapped__(n, t)
+
     def test_fixed_roots_isolate_the_roots_of_f(self):
         # deg F numerators x over 2^32, F changing sign strictly across [x - 2, x + 2], these
         # intervals disjoint: each holds exactly one root of F
@@ -196,6 +222,26 @@ class TestProductRoots:
         finally:
             tracemalloc.stop()
         assert retained < 1 << 20
+
+    def test_plan_cache_is_bounded(self):
+        # a kept plan keeps F, its roots and, once a candidate or a replay reads them, F's values at
+        # their midpoints, about 0.2 MB at t >= 251.  The cache keeps the last _PLAN_CACHE plans:
+        # kept without a bound, F and its roots alone would hold about 3 MB over these 100 plans
+        keys = [(n, t) for t in range(251, MAX_T + 1, 2) for n in (4, 12, 28, 36)][:100]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, t in keys:
+                plan = plan_construction(n, t)
+                plan.fixed_product, plan.fixed_roots
+            del plan
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert plan_construction.cache_info().currsize <= construct._PLAN_CACHE < len(set(keys)) == 100
+        assert retained < 2 << 20
 
     def test_relabelled_certificate_replays_by_the_chain(self, monkeypatch):
         # (124, 71) is a quad-shift-golden plan, so the certificate relabelled quad-shift gets no
@@ -270,42 +316,6 @@ class TestBuildCandidate:
         for a in (3, 4, 17, 200, 10**12 + 1):
             a_factor = IntPoly([1 if construction == QUAD_UNIT else a - 2, -a, 1])
             assert build_candidate(plan, a) == plan.fixed_product * a_factor - 1, (n, t, a)
-
-
-class TestLinearFamily:
-    def test_even_example(self):
-        r = build_linear_family(2, 3, ONE, 6)
-        assert r == IntPoly([23, -4, -6, 1])
-
-    def test_odd_example(self):
-        r = build_linear_family(1, 2, ONE, 5)
-        assert r == IntPoly([9, -7, 1])
-
-    def test_d_hypotheses(self):
-        with pytest.raises(HypothesisError) as err:
-            build_linear_family(2, 5, IntPoly([-3, 1]) * IntPoly([0, 1]), 6)
-        assert err.value.violation == "d_roots_range"
-        with pytest.raises(HypothesisError) as err:
-            build_linear_family(2, 5, IntPoly([0, 0, 2]), 6)
-        assert err.value.violation == "d_monic"
-        with pytest.raises(HypothesisError) as err:
-            build_linear_family(2, 5, ONE, 6)
-        assert err.value.violation == "d_degree"
-        with pytest.raises(HypothesisError) as err:
-            build_linear_family(2, 5, IntPoly([1, -2, 1]), 6)
-        assert err.value.violation == "d_separable"
-        with pytest.raises(HypothesisError) as err:
-            build_linear_family(5, 6, cyclo_trace(5), 7)
-        assert err.value.violation == "d_coprime"
-        with pytest.raises(HypothesisError) as err:
-            build_linear_family(2, 4, IntPoly([0, 1]), 6)
-        assert err.value.violation == "t_parity"
-
-    def test_certifiable(self):
-        r = build_linear_family(2, 3, ONE, 6)
-        cert = certify_trace(r, 2, construction=LINEAR, a=6)
-        assert abs(cert.resultant_value) == 1
-        assert cert.min_poly.degree == 6
 
 
 class TestSearch:

@@ -456,12 +456,9 @@ class TestChainSharing:
         assert not counts
 
     def test_certify_workload_builds_no_chain(self, monkeypatch):
-        # the benchmark's certify calls: search and replay need no chain.  Planning (124, 71)
-        # cross-checks its parity counts by Sturm chains, so the plans are made first, as in
-        # the benchmark's setup; a plan is made once per (n, t), so search reuses them
+        # the benchmark's certify calls: planning, search and replay need no chain
         calls = [(92, 61, a) for a in range(111, 116)] + [(124, 71, a) for a in range(158, 161)]
-        for n, t, _ in calls:
-            plan_construction(n, t)
+        plan_construction.cache_clear()
 
         def no_chain(self, p):
             raise AssertionError("a Sturm chain was built")

@@ -60,6 +60,17 @@ class TestCheb:
         assert p.coeffs[0] == 2 and p.coeffs[2] == -(3000**2) // 4  # 2cos(3000 u), u near pi/2
 
 
+# every n a plan reaches: n = 4 mod 8, 5 not dividing n, n <= 2 * MAX_T - 6
+PLAN_NS = [n for n in range(4, 597, 8) if n % 5]
+
+
+def _geometric_sum(n: int) -> IntPoly:
+    """(x^n - 1)/(x - 1) for odd n, (x^n - 1)/(x^2 - 1) for even n, whose trace is cyclo_trace(n)."""
+    if n % 2:
+        return IntPoly([1] * n)
+    return IntPoly([c for _ in range(n // 2) for c in (1, 0)][:-1])
+
+
 class TestCycloTrace:
     def test_small_values(self):
         assert cyclo_trace(1) == ONE
@@ -73,6 +84,9 @@ class TestCycloTrace:
             expected = (n - 1) // 2 if n % 2 else (n - 2) // 2
             assert cyclo_trace(n).degree == expected
             assert cyclo_trace(n).is_monic
+        # the closed form against the trace of the geometric sum, at every n a plan reaches
+        for n in sorted(set(range(1, 301)) | set(PLAN_NS)):
+            assert cyclo_trace(n) == extract_trace(_geometric_sum(n)), n
 
     def test_roots_are_cosines(self):
         # floating oracle: the roots are exactly {2cos(2j pi/n)}
@@ -158,13 +172,17 @@ class TestUnitIntervalCounts:
             assert (cheb_roots_in_unit_interval(2 + 4 * k) % 2 == 1) == (k % 3 == 1)
 
     def test_against_sturm(self):
-        for k in range(1, 80):
-            assert cheb_roots_in_unit_interval(k) == sturm_count_open(cheb(k), 0, 1)
+        # every degree a plan's parity evidence counts: 4k and 2 + 4k for k <= (MAX_T - 5) // 4
+        plan_degrees = {d for k in range(75) for d in (4 * k, 2 + 4 * k)}
+        for k in sorted(set(range(1, 80)) | plan_degrees):
+            assert cheb_roots_in_unit_interval(k) == sturm_count_open(cheb(k), 0, 1), k
 
     def test_cyclo_counts(self):
         assert cyclo_trace_roots_in_unit_interval(12) == 0
         assert cyclo_trace_roots_in_unit_interval(28) == 2
         assert cyclo_trace_roots_in_unit_interval(44) == 3
+        for n in sorted(set(range(3, 301)) | set(PLAN_NS)):
+            assert cyclo_trace_roots_in_unit_interval(n) == sturm_count_open(cyclo_trace(n), 0, 1), n
 
 
 class TestIdentities:
