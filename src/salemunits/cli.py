@@ -323,7 +323,7 @@ def _cmd_selftest(args) -> int:
 
 PRECISION_HELP = (
     f"certified decimal digits of alpha, at most {MAX_PRECISION}; larger values exit 2."
-    " A one-candidate run with 4000 digits takes about 0.25 s at t=9 and 0.6 s at t=31"
+    " A one-candidate run with 4000 digits takes about 0.15 s at t=9 and 0.35 s at t=31"
     " (2-core x86-64, Python 3.11)"
 )
 
@@ -342,8 +342,8 @@ T_HELP = (
 
 A_MAX_HELP = (
     f"the last a of the sweep, at most {MAX_A}; a_max - a_min must be less than {MAX_A_SPAN}, or the"
-    " run exits 2. 200 candidates take about 0.2 s at (n, t) = (12, 9) and 0.6 s at (92, 61); at"
-    f" a_max = {MAX_A} four candidates take 0.2 s at (92, 61), 0.2 s at (124, 71) and 3-4 s at"
+    " run exits 2. 200 candidates take about 0.15 s at (n, t) = (12, 9) and 0.4 s at (92, 61); at"
+    f" a_max = {MAX_A} four candidates take 0.1-0.15 s at (92, 61) and (124, 71) and about 2 s at"
     " (596, 301) (2-core x86-64, Python 3.11)"
 )
 

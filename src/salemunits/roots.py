@@ -98,21 +98,6 @@ def _laguerre_fails(f: tuple[int, ...], d1: tuple[int, ...], d2: tuple[int, ...]
     return (t - 1) * v1 * v1 < t * _value_at(f, num, den) * _value_at(d2, num, den)
 
 
-def laguerre_fails(p: IntPoly, x) -> bool:
-    """True when Laguerre's inequality (t-1) p'(x)^2 - t p(x) p''(x) >= 0 fails at x; t = deg p.
-
-    The inequality holds on all of R for every real-rooted p (Polya & Szego,
-    *Problems and Theorems in Analysis II*, Part V), so a failure at one
-    rational x proves p has a non-real root.  It fails near every negative
-    local maximum and every positive local minimum.
-    """
-    if p.is_zero or p.degree < 2:
-        return False
-    x = Fraction(x)
-    d1 = p.derivative()
-    return _laguerre_fails(p.coeffs, d1.coeffs, d1.derivative().coeffs, x.numerator, x.denominator)
-
-
 def _variations(values: list[int]) -> int:
     """Sign changes along a sequence, zeros skipped."""
     signs = [v > 0 for v in values if v]
@@ -235,7 +220,7 @@ def _exact(x: Fraction) -> IsolatingInterval:
     return IsolatingInterval(x, x)
 
 
-def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
+def refine(iv: IsolatingInterval, p: IntPoly, width, near: Optional[Fraction] = None) -> IsolatingInterval:
     """Shrink an isolating interval to at most the requested width.
 
     Once the endpoint signs of the squarefree part change strictly, the root
@@ -243,46 +228,52 @@ def refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
     interval refinement (see ``_refine_on_grid``).  The result is the grid
     cell, or the exact grid-point root, that bisection returns, but once the
     secant steps land each one doubles the bits gained, where bisection gains
-    one bit per exact evaluation.  Raises ValueError when the interval has
-    no strict sign change at its endpoints and does not hold exactly one root.
+    one bit per exact evaluation.  ``near``, any guess at the root, only picks
+    the cell of that grid the walk starts from, so it never changes the result.
+    Raises ValueError when the interval has no strict sign change at its
+    endpoints and does not hold exactly one root.
     """
     width = Fraction(width)
     if iv.lo == iv.hi and _sign_at(p.coeffs, iv.lo) == 0:
         return iv  # an exact root
     if width <= 0:
         raise ValueError("width must be positive")
-    lo, hi = iv.lo, iv.hi
-    # the chain, and its squarefree part, are needed only without a strict sign change of p
-    chain = None if _sign_at(p.coeffs, lo) * _sign_at(p.coeffs, hi) < 0 else SturmChain(p)
-    coeffs = p.coeffs if chain is None else chain.squarefree
-    slo, shi = _sign_at(coeffs, lo), _sign_at(coeffs, hi)
-    if shi == 0:
+    lo, hi, coeffs, chain = iv.lo, iv.hi, p.coeffs, None
+    vlo, vhi = (_value_at(coeffs, x.numerator, x.denominator) for x in (lo, hi))
+    if vlo * vhi >= 0:  # the chain, and its squarefree part, are needed only without a strict sign change of p
+        chain = SturmChain(p)
+        coeffs = chain.squarefree
+        vlo, vhi = (_value_at(coeffs, x.numerator, x.denominator) for x in (lo, hi))
+    if vhi == 0:
         return _exact(hi)
     # establish a strict sign change, bisecting by Sturm counts until then;
     # that needs exactly one root in (lo, hi], or the bisection never ends
-    if slo * shi >= 0 and chain.count(lo, hi) != 1:
+    if vlo * vhi >= 0 and chain.count(lo, hi) != 1:
         raise ValueError("interval does not isolate a root")
-    while slo * shi >= 0:
+    while vlo * vhi >= 0:
         mid = (lo + hi) / 2
-        smid = _sign_at(coeffs, mid)
-        if smid == 0:
+        vmid = _value_at(coeffs, mid.numerator, mid.denominator)
+        if vmid == 0:
             return _exact(mid)
         if chain.count(lo, mid) == 1:
-            hi, shi = mid, smid
+            hi, vhi = mid, vmid
         else:
-            lo, slo = mid, smid
+            lo, vlo = mid, vmid
     ratio = (hi - lo) / width
     if ratio <= 1:
         return IsolatingInterval(lo, hi)
     # the least level m with (hi - lo) / 2^m <= width
     levels = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-    return _refine_on_grid(coeffs, lo, hi, levels)
+    return _refine_on_grid(coeffs, lo, hi, levels, (vlo, vhi), near)
 
 
-def _refine_on_grid(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, levels: int) -> IsolatingInterval:
+def _refine_on_grid(
+    coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, levels: int, ends: tuple[int, int], near: Optional[Fraction]
+) -> IsolatingInterval:
     """Abbott's quadratic interval refinement, kept on the dyadic grid of (lo, hi).
 
-    (lo, hi) holds one simple root with a strict sign change.  A cell on the
+    (lo, hi) holds one simple root with a strict sign change, and ``ends`` are
+    p's values at lo and hi from ``_value_at``.  A cell on the
     level-k grid is [x_j, x_j+1] with x_j = lo + j (hi - lo) / 2^k.  Each step
     splits the cell into N = 2^e parts and tests, by exact signs, the part the
     secant through the endpoint values points at; a hit squares N, a miss
@@ -290,6 +281,11 @@ def _refine_on_grid(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, levels:
     ends on the level-``levels`` cell holding the root, or on a grid point
     where p is 0, exactly as bisection would.  All values at level k are
     scaled by the same (den 2^k)^deg, so the secant needs only integers.
+    Given ``near`` in (lo, hi), of denominator D, the walk starts with e = log2 D
+    at the level k0 <= ``levels`` where cells are 2 to 4 units of 1/D wide, on
+    near's cell or the neighbour its ends' one sign points to, if that cell's
+    ends change sign strictly: it then holds the only root, and the walk below
+    it is that of the level-0 start, which is taken otherwise.
     """
     d = len(coeffs) - 1
     w = hi - lo
@@ -302,9 +298,16 @@ def _refine_on_grid(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, levels:
     def value(j: int, k: int) -> int:
         return _value_at(coeffs, (lnum << k) + j * wnum, den << k)
 
-    k = j = 0
-    vlo, vhi = value(0, 0), value(1, 0)
-    e = 2
+    k, j, e = 0, 0, 2
+    vlo, vhi = (v * (den // x.denominator) ** d for v, x in zip(ends, (lo, hi)))
+    k0 = 0 if near is None or not lo < near < hi else min(levels, math.ceil(w * near.denominator).bit_length() - 2)
+    if k0 > 0:
+        c = (near - lo) * (1 << k0) // w
+        a, b = value(c, k0), value(c + 1, k0)
+        if a * b > 0:  # the root is past one end of near's cell: step to the neighbour on its side
+            c, a, b = (c + 1, b, value(c + 2, k0)) if (b > 0) == (ends[0] > 0) else (c - 1, value(c - 1, k0), a)
+        if a * b < 0:
+            k, j, vlo, vhi, e = k0, c, a, b, max(2, near.denominator.bit_length() - 1)
     while k < levels:
         step = min(e, levels - k)
         n, base, kk = 1 << step, j << step, k + step

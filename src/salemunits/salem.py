@@ -280,7 +280,8 @@ def _certify_trace(
         )
 
     # None: separable, with a non-real root
-    pattern = root_pattern(trace, product_roots(construction, n, t, a))
+    hints = product_roots(construction, n, t, a)
+    pattern = root_pattern(trace, hints)
     if pattern is not None and not pattern.separable:
         raise CertificationError("separability", "trace polynomial has a repeated root")
     if pattern is None or not pattern.is_salem(t):
@@ -303,9 +304,10 @@ def _certify_trace(
     if abs(res) != 1:
         raise _resultant_error(n, res)
 
-    # the pattern puts exactly one root in (2, bound], and T(2) < 0 < T(bound)
+    # the pattern puts exactly one root in (2, bound], and T(2) < 0 < T(bound); P's largest root is near it
     beta_iv = IsolatingInterval(Fraction(2), cauchy_bound(trace) + 1)
-    beta_iv = refine(beta_iv, trace, Fraction(1, 10 ** (precision_digits + 4)))
+    near = None if hints is None else Fraction(hints[0][-1], hints[1])
+    beta_iv = refine(beta_iv, trace, Fraction(1, 10 ** (precision_digits + 4)), near)
     alpha_dec, _ = alpha_from_beta(beta_iv, precision_digits, trace)
 
     return SalemCertificate(

@@ -25,7 +25,7 @@ from salemunits.construct import (
 from salemunits.intpoly import ONE, IntPoly, resultant, lift_trace
 from salemunits import roots
 from salemunits.factor import SEPARABILITY_PRIMES
-from salemunits.roots import laguerre_fails, sturm_count, sturm_count_open
+from salemunits.roots import sturm_count, sturm_count_open
 from salemunits.salem import (
     MAX_A,
     MAX_N,
@@ -455,8 +455,9 @@ class TestPatternPrecheck:
             if proof is None:
                 continue
             proved += 1
-            x, q = proof
-            assert laguerre_fails(trace, x) and q in SEPARABILITY_PRIMES
+            (x, q), d1 = proof, trace.derivative()
+            assert roots._laguerre_fails(trace.coeffs, d1.coeffs, d1.derivative().coeffs, x.numerator, x.denominator)
+            assert q in SEPARABILITY_PRIMES
             with pytest.raises(CertificationError) as err:
                 certify_trace(build_candidate(plan, a), 44)  # an external trace: the chain decides
             assert err.value.check == "root_pattern"

@@ -27,7 +27,6 @@ from salemunits.roots import (
     cauchy_bound,
     is_separable,
     isolate_roots,
-    laguerre_fails,
     refine,
     root_pattern,
     sturm_count,
@@ -246,6 +245,16 @@ def _bisection_refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInte
     return IsolatingInterval(lo, hi)
 
 
+def _bisection_cell(iv: IsolatingInterval, p: IntPoly, width, out: IsolatingInterval) -> bool:
+    """out is where bisection of iv, which holds one root of p, ends: a cell of the first
+    level of iv's halving grid at most width wide, with a strict sign change of p."""
+    w, m = iv.hi - iv.lo, 0
+    while w / 2**m > width:
+        m += 1
+    j = (out.lo - iv.lo) * 2**m / w
+    return j.denominator == 1 and out.hi - out.lo == w / 2**m and p(out.lo) * p(out.hi) < 0
+
+
 def _counting(fn, calls: Counter):
     def wrapper(*args):
         calls[fn.__name__] += 1
@@ -263,10 +272,14 @@ class TestQuadraticRefinement:
         st.integers(0, 40),
         st.integers(1, 9),
         st.integers(1, 9),
+        st.integers(0, 80),
+        st.integers(-2, 2),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_bisection(self, rational_roots, low, digits, num, den):
-        # rational roots r/q with dyadic and non-dyadic q, times a random monic factor
+    def test_matches_bisection(self, rational_roots, low, digits, num, den, bits, offset):
+        # rational roots r/q with dyadic and non-dyadic q, times a random monic factor; the hint is
+        # the root rounded to bits binary places and moved by offset units, so it falls in the
+        # cell that holds the root, in a neighbour, past both, or on an end
         p = IntPoly(low + [1])
         for r, q in rational_roots:
             p = p * IntPoly([-r, q])
@@ -274,7 +287,9 @@ class TestQuadraticRefinement:
         width = Fraction(num, den * 10**digits)
         bound = cauchy_bound(p) + 1
         for iv in isolate_roots(p, -bound, bound):
-            assert refine(iv, p, width) == _bisection_refine(iv, p, width)
+            out = _bisection_refine(iv, p, width)
+            near = Fraction(math.floor((out.lo + out.hi) / 2 * 2**bits) + offset, 2**bits)
+            assert refine(iv, p, width) == refine(iv, p, width, near) == out
 
     def test_roots_on_deep_grid_points(self):
         # one real root lo + j (hi - lo) / 2^k, k up to 130, inside a non-dyadic
@@ -291,14 +306,55 @@ class TestQuadraticRefinement:
             p = IntPoly([-root.numerator, root.denominator]) * cofactor
             iv = IsolatingInterval(lo, lo + w)
             width = w / 2 ** rng.randint(max(0, k - 3), k + 5)
-            assert refine(iv, p, width) == _bisection_refine(iv, p, width)
+            out = _bisection_refine(iv, p, width)
+            assert refine(iv, p, width) == out
+            # a hint on the root, on the grid or below it, and one a unit of its denominator off
+            for near in (root, root + Fraction(1, root.denominator), root - Fraction(1, root.denominator)):
+                assert refine(iv, p, width, near) == out
 
     def test_benchmark_betas(self):
-        for (n, t, a), digits in (((12, 9, 3), 60), ((44, 31, 29), 40), ((92, 61, 111), 34)):
-            p = build_candidate(plan_construction(n, t), a)
-            iv = isolate_roots(p, 2, cauchy_bound(p) + 1)[0]
+        # beta from (2, B], as certify_trace refines it, with and without the hint it passes: P's
+        # large root; bisection takes 20-30 s at (124, 71) and 304 digits and at (596, 301), so
+        # there the result is checked against the one cell bisection ends on
+        for (n, t, a), digits in (
+            ((12, 9, 3), 60),
+            ((44, 31, 29), 40),
+            ((92, 61, 111), 34),
+            ((124, 71, 158), 34),
+            ((124, 71, 158), 304),
+            ((596, 301, 85), 34),
+            ((596, 301, 85), 304),
+        ):
+            plan = plan_construction(n, t)
+            p = build_candidate(plan, a)
+            nums, den, _ = product_roots(plan.construction, n, t, a)
+            iv = IsolatingInterval(Fraction(2), cauchy_bound(p) + 1)
             width = Fraction(1, 10 ** (digits + 4))
-            assert refine(iv, p, width) == _bisection_refine(iv, p, width)
+            out = refine(iv, p, width)
+            assert refine(iv, p, width, Fraction(nums[-1], den)) == out
+            if t < 100 and digits < 100:
+                assert out == _bisection_refine(iv, p, width)
+            assert _bisection_cell(iv, p, width, out)
+
+    def test_forged_hints(self):
+        # a hint only picks where the walk starts: a wrong one gives the interval no hint gives
+        p = build_candidate(plan_construction(92, 61), 111)
+        bound = cauchy_bound(p) + 1
+        iv, width = IsolatingInterval(Fraction(2), bound), Fraction(1, 10**38)
+        out = refine(iv, p, width)
+        deep = refine(iv, p, Fraction(1, 10**700))
+        for near in (
+            Fraction(1),  # below lo
+            bound + 1,  # past hi
+            bound,  # on hi
+            Fraction(2),  # on lo
+            Fraction(50),  # a cell, and neighbours, that hold no root
+            Fraction(50 * 2**32 + 1, 2**32),
+            Fraction(111),
+            (deep.lo + deep.hi) / 2,  # a denominator past 2^2300: the start is the last level
+        ):
+            assert refine(iv, p, width, near) == out
+        assert out == _bisection_refine(iv, p, width)
 
     def test_sign_evaluation_count(self, monkeypatch):
         # every exact evaluation, signs for Sturm counts included, goes through
@@ -310,6 +366,22 @@ class TestQuadraticRefinement:
         out = refine(iv, p, Fraction(1, 10**1004))
         assert out.width <= Fraction(1, 10**1004) and p(out.lo) * p(out.hi) < 0
         assert 0 < calls["_value_at"] <= 300
+
+    def test_hinted_evaluation_count(self, monkeypatch):
+        # (92, 61) a = 111 at 34 digits: the walk from (2, B] evaluates p 40 times, each end once;
+        # from the cell of P's large root, 2^-32 close to beta, at most 14 times
+        plan = plan_construction(92, 61)
+        p = build_candidate(plan, 111)
+        nums, den, _ = product_roots(plan.construction, 92, 61, 111)
+        iv = IsolatingInterval(Fraction(2), cauchy_bound(p) + 1)
+        calls = Counter()
+        monkeypatch.setattr(roots, "_value_at", _counting(roots._value_at, calls))
+        counts = []
+        for near in (None, Fraction(nums[-1], den)):
+            calls.clear()
+            refine(iv, p, Fraction(1, 10**38), near)
+            counts.append(calls["_value_at"])
+        assert counts[0] <= 40 and 0 < counts[1] <= 14
 
 
 class TestValueAt:
@@ -353,16 +425,18 @@ class TestRootPattern:
         assert root_pattern(cyclo_trace(28)).in_0_1 == 2
 
 
+def laguerre_fails(p: IntPoly, x) -> bool:
+    """roots._laguerre_fails for p, of degree >= 2, at the rational x, with the derivatives it takes."""
+    x, d1 = Fraction(x), p.derivative()
+    return roots._laguerre_fails(p.coeffs, d1.coeffs, d1.derivative().coeffs, x.numerator, x.denominator)
+
+
 class TestLaguerre:
     def test_fires_off_the_real_line(self):
         assert laguerre_fails(IntPoly([1, 0, 1]), 0)  # x^2 + 1
         # (x^2 - 4)(x^2 - 1) - 10 has a negative local maximum at 0
         assert laguerre_fails(IntPoly([-4, 0, 1]) * IntPoly([-1, 0, 1]) - 10, 0)
         assert not laguerre_fails(IntPoly([-4, 0, 1]) * IntPoly([-1, 0, 1]) - 1, 0)
-
-    def test_low_degree_never_fires(self):
-        for p in (IntPoly(), IntPoly([5]), IntPoly([3, -7])):
-            assert not laguerre_fails(p, Fraction(1, 3))
 
     @given(
         st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 6)), min_size=2, max_size=9),
