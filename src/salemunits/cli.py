@@ -1,6 +1,7 @@
 """Command-line surface: generators, identity self-test, planning, search, certification.
 
-Exit codes are a stable contract: 0 success, 2 bad arguments, 3 hypothesis
+Exit codes are a stable contract: 0 success, 1 a failed selftest assertion,
+2 bad arguments (a path that is no regular file among them), 3 hypothesis
 violation, 4 empty search, 5 certification failure.  All output is
 deterministic given identical arguments and seed; configuration is flags only.
 """
@@ -55,8 +56,10 @@ def _int_at_least(low: int):
 
 
 def _read_poly(arg: str) -> IntPoly:
-    """Inline ascending-coefficient string, or a path to a file holding one."""
+    """Inline ascending-coefficient string, or a path to a regular file holding one."""
     if os.path.exists(arg):
+        if not os.path.isfile(arg):  # a device or a fifo would be read without a bound
+            raise ValueError(f"not a regular file: {arg}")
         with open(arg, encoding="utf-8") as fh:
             arg = fh.read()
     return IntPoly.from_text(arg)
@@ -178,6 +181,8 @@ def _certificate_text(cert: SalemCertificate) -> str:
 
 def _cmd_certify(args) -> int:
     if args.from_report:
+        if os.path.exists(args.from_report) and not os.path.isfile(args.from_report):
+            return _fail(f"not a regular file: {args.from_report}")
         try:
             with open(args.from_report, encoding="utf-8") as fh:
                 payload = json.load(fh)

@@ -2,72 +2,22 @@
 
 ``cheb(k)`` is the monic degree-k integer polynomial with cheb(k)(2cos u) =
 2cos(k u); ``cyclo_trace(n)`` is the trace polynomial of (x^n - 1)/(x - 1) for
-odd n, resp. (x^n - 1)/(x^2 - 1) for even n.  Both are built exactly from
-their coefficient formulas, and their root counts on (0, 1) have closed forms
-(Mason & Handscomb, *Chebyshev Polynomials*, 2003) — never floating cosines.
+odd n, resp. (x^n - 1)/(x^2 - 1) for even n.  Both are sums of U_m(x/2), built
+from its coefficient formula; ``extract_trace`` sums a series in cheb by
+Clenshaw's recurrence (*A note on the summation of Chebyshev series*, 1955);
+root counts on (0, 1) are closed forms (Mason & Handscomb, *Chebyshev
+Polynomials*, 2003).  None of them uses floating cosines.
 """
 
 from __future__ import annotations
 
-import math
+from operator import sub
 
 from .intpoly import IntPoly, is_reciprocal
 
-# Root count of cheb(k) on the open interval (0, 1) has the closed form
-# (k - e)/6 with e the unique member of the table below congruent to k mod 6.
-_EPSILON_BY_K_MOD_6 = {0: 0, 1: 1, 2: 2, 3: 3, 4: -2, 5: 5}
-
-
-def cheb(k: int) -> IntPoly:
-    """Monic Chebyshev-style polynomial of degree k.
-
-    The polynomials of the recurrence p_{k+2} = x*p_{k+1} - p_k seeded with
-    p_1 = x, p_2 = x^2 - 2 (Dickson polynomials D_k(x, 1)), built coefficient
-    by coefficient from x^k down: the coefficient of x^(k-2j) is
-    (-1)^j k/(k-j) C(k-j, j), and consecutive ones differ by the factor
-    -(k-2j)(k-2j-1) / ((j+1)(k-j-1)).  For k = 0 the constant 1 is returned
-    (empty product convention: the recurrence is never extended below k = 1).
-
-    >>> cheb(3)
-    IntPoly('x^3 - 3x')
-    """
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    out = [0] * (k + 1)
-    c = 1
-    for j in range(k // 2 + 1):
-        out[k - 2 * j] = c
-        if 2 * j + 2 <= k:
-            c = -c * (k - 2 * j) * (k - 2 * j - 1) // ((j + 1) * (k - j - 1))
-    return IntPoly(out)
-
-
-def extract_trace(p: IntPoly) -> IntPoly:
-    """Invert the trace lift: find T with p(x) = x^m * T(x + 1/x).
-
-    The input must be palindromic of even degree 2m; T is recovered by
-    descending elimination in the basis {x^(m-j) (x^2+1)^j}.
-    """
-    if p.is_zero or int(p.degree) % 2 != 0:
-        raise ValueError("trace extraction needs a nonzero polynomial of even degree")
-    if not is_reciprocal(p):
-        raise ValueError("polynomial is not reciprocal")
-    m = int(p.degree) // 2
-    rem = list(p.coeffs) + [0]  # scratch with safe indexing
-    out = [0] * (m + 1)
-    for j in range(m, -1, -1):
-        c = rem[m + j]
-        out[j] = c
-        if c:
-            for i in range(j + 1):
-                rem[m - j + 2 * i] -= c * math.comb(j, i)
-    if any(rem):
-        raise ValueError("polynomial is not in the trace-lift span")
-    return IntPoly(out)
-
 
 def _u_half(m: int) -> list[int]:
-    """Ascending coefficients of U_m(x/2), [] for m = -1: (-1)^j C(m-j, j) at x^(m-2j), built as ``cheb`` is."""
+    """Ascending coefficients of U_m(x/2), [] for m < 0: (-1)^j C(m-j, j) at x^(m-2j), each from the one before."""
     out = [0] * (m + 1)
     c = 1
     for j in range(m // 2 + 1):
@@ -75,6 +25,41 @@ def _u_half(m: int) -> list[int]:
         if 2 * j + 2 <= m:
             c = -c * (m - 2 * j) * (m - 2 * j - 1) // ((j + 1) * (m - j))
     return out
+
+
+def cheb(k: int) -> IntPoly:
+    """Monic Chebyshev-style polynomial of degree k.
+
+    The polynomials of the recurrence p_{k+2} = x*p_{k+1} - p_k seeded with
+    p_1 = x, p_2 = x^2 - 2 (Dickson polynomials D_k(x, 1)).  As sin((k+1)u) -
+    sin((k-1)u) = 2cos(k u) sin(u), cheb(k) is U_k(x/2) - U_(k-2)(x/2), and
+    U_(-2) = 0 gives cheb(0) = 1.
+
+    >>> cheb(3)
+    IntPoly('x^3 - 3x')
+    """
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    return IntPoly(map(sub, _u_half(k), _u_half(k - 2) + [0, 0]))
+
+
+def extract_trace(p: IntPoly) -> IntPoly:
+    """Invert the trace lift: find T with p(x) = x^m * T(x + 1/x).
+
+    The input must be palindromic of even degree 2m; every such p is a lift,
+    as p(x)/x^m = p_m + sum_k p_(m+k) cheb(k)(y) with y = x + 1/x.  Clenshaw's
+    recurrence sums that series on coefficient lists: b_k = p_(m+k) + y b_(k+1)
+    - b_(k+2) for k = m..1, then T = p_m + y b_1 - 2 b_2.
+    """
+    if p.is_zero or int(p.degree) % 2 != 0:
+        raise ValueError("trace extraction needs a nonzero polynomial of even degree")
+    if not is_reciprocal(p):
+        raise ValueError("polynomial is not reciprocal")
+    m, c = int(p.degree) // 2, p.coeffs
+    b1, b2 = [], []  # b_(k+1) and b_(k+2); b_(k+2) + [0, 0] is as long as y b_(k+1)
+    for k in range(m, 0, -1):
+        b1, b2 = list(map(sub, [c[m + k]] + b1, b2 + [0, 0])), b1
+    return IntPoly(map(sub, [c[m]] + b1, [2 * v for v in b2] + [0, 0]))
 
 
 def cyclo_trace(n: int) -> IntPoly:
@@ -163,16 +148,13 @@ def cyclo_trace_roots_dyadic(n: int, bits: int) -> list[int]:
 def cheb_roots_in_unit_interval(k: int) -> int:
     """Number of roots of cheb(k) in the open interval (0, 1), in closed form.
 
-    The count is (k - e)/6 with e in {0, 1, 2, 3, -2, 5} and k = e mod 6.
-    Accepts k = 0 (the constant 1 has no roots).  The table lookup asserts
-    divisibility by 6, failing loudly on corruption.
+    A root 2cos(m pi / 2k), m odd, lies in (0, 1) iff pi/3 < m pi / 2k < pi/2,
+    that is 2k/3 < m < k, which holds for k//2 - (2k//3 + 1)//2 odd m.
+    Accepts k = 0 (the constant 1 has no roots).
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    eps = _EPSILON_BY_K_MOD_6[k % 6]
-    if (k - eps) % 6 != 0:
-        raise AssertionError(f"epsilon table corrupt at k={k}")
-    return (k - eps) // 6
+    return k // 2 - (2 * k // 3 + 1) // 2
 
 
 def cyclo_trace_roots_in_unit_interval(n: int) -> int:

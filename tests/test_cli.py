@@ -1,7 +1,11 @@
 """Command-line contract: outputs, exit codes, report replay, self-test determinism."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -192,6 +196,21 @@ class TestCertify:
     def test_poly_path_is_a_directory_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "certify", str(tmp_path), "--n", "12")
         assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["/dev/zero", "--n", "12"], ["--from-report", "/dev/zero"]])
+    def test_device_path_exits_2(self, argv):
+        # /dev/zero has no end: in a child capped at 400 MB of address space and 60 s, a
+        # regression that reads it ends in a MemoryError or a timeout, not in a full host
+        code = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20));"
+            " from salemunits.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "certify", *argv], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "not a regular file: /dev/zero\n")
 
     def test_from_report_one_tampered_certificate(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -216,6 +216,9 @@ class TestWitnessReplay:
         assert replay(p, w)
         bad = IrreducibilityWitness(verdict="reducible", method=KRONECKER, factor=IntPoly([1, 1, 1]))
         assert not replay(p, bad)
+        # no factor, a constant and a factor of p's degree: each divides p or fails to, and proves nothing
+        for f in (None, IntPoly([1]), IntPoly([-1]), p, -p):
+            assert not replay(p, IrreducibilityWitness(verdict="reducible", method=KRONECKER, factor=f))
 
     def test_filter_replay_without_rerun(self):
         p = IntPoly([1, -5, 1])
@@ -248,6 +251,9 @@ class TestWitnessReplay:
         assert not replay(p, replace(w, degree_multisets=((61,),) + w.degree_multisets[1:]))
         for outside in (2, 101, 3.0):
             assert not replay(p, replace(w, primes=(outside,) + w.primes[1:]))
+        # a multiset with no prime, and a prime with no multiset
+        assert not replay(p, replace(w, degree_multisets=w.degree_multisets + ((61,),)))
+        assert not replay(p, replace(w, primes=w.primes + w.primes[:1]))
 
     def test_kronecker_replay(self):
         p = build_candidate(plan_construction(12, 9), 18)

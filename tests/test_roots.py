@@ -214,6 +214,11 @@ class TestRefineWithoutRoot:
         p = IntPoly([0, 1]) * IntPoly([-2, 0, 1]) * IntPoly([-3, 1])
         out = refine(IsolatingInterval(Fraction(0), Fraction(2)), p, Fraction(1, 10**6))
         assert out.width <= Fraction(1, 10**6) and out.lo < Fraction("1.4142136") and out.hi > Fraction("1.4142135")
+        # the root is hi itself, with p 0 there: x^2 - 4 on (0, 2]; or the first midpoint of
+        # the Sturm bisection: x (x - 2) on (0, 4], 0 at lo
+        two = IsolatingInterval(Fraction(2), Fraction(2))
+        assert refine(IsolatingInterval(Fraction(0), Fraction(2)), IntPoly([-4, 0, 1]), Fraction(1, 10**6)) == two
+        assert refine(IsolatingInterval(Fraction(0), Fraction(4)), IntPoly([0, -2, 1]), Fraction(1, 10**6)) == two
 
 
 def _bisection_refine(iv: IsolatingInterval, p: IntPoly, width) -> IsolatingInterval:
@@ -311,6 +316,11 @@ class TestQuadraticRefinement:
             # a hint on the root, on the grid or below it, and one a unit of its denominator off
             for near in (root, root + Fraction(1, root.denominator), root - Fraction(1, root.denominator)):
                 assert refine(iv, p, width, near) == out
+        # the secant misses (2x - 1)((x + 1)^4 + 1) on (0, 1), and the bisection after the miss
+        # lands on the root
+        p, iv = IntPoly([-1, 2]) * (IntPoly([1, 1]) ** 4 + 1), IsolatingInterval(Fraction(0), Fraction(1))
+        half = IsolatingInterval(Fraction(1, 2), Fraction(1, 2))
+        assert refine(iv, p, Fraction(1, 16)) == _bisection_refine(iv, p, Fraction(1, 16)) == half
 
     def test_benchmark_betas(self):
         # beta from (2, B], as certify_trace refines it, with and without the hint it passes: P's

@@ -47,6 +47,11 @@ class TestUnitCheck:
         with pytest.raises(ValueError):
             unit_check(IntPoly([1, -3, 2]), 2)
 
+    def test_requires_positive_n(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                unit_check(IntPoly([1, -3, 1]), n)
+
     @pytest.mark.parametrize(
         "s_poly",
         [

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salemunits.construct import build_candidate, plan_construction
 from salemunits.intpoly import ONE, IntPoly, gcd_over_rationals, lift_trace
 from salemunits.roots import sturm_count_open
 from salemunits.roots import _value_at
+from salemunits.salem import MAX_T
 from salemunits.trigpolys import (
     cheb,
     cheb_roots_dyadic,
@@ -140,17 +142,41 @@ class TestDyadicRoots:
             cyclo_trace_roots_dyadic(0, 32)
 
 
+def _extract_by_elimination(p: IntPoly) -> IntPoly:
+    """The trace of palindromic p of degree 2m by descending elimination in the basis
+    {x^(m-j) (x^2+1)^j}: the O(m^2) binomial loop that Clenshaw's sum replaced, kept as an oracle."""
+    m = int(p.degree) // 2
+    rem = list(p.coeffs) + [0]
+    out = [0] * (m + 1)
+    for j in range(m, -1, -1):
+        c = rem[m + j]
+        out[j] = c
+        if c:
+            for i in range(j + 1):
+                rem[m - j + 2 * i] -= c * math.comb(j, i)
+    assert not any(rem), "not in the trace-lift span"
+    return IntPoly(out)
+
+
 class TestExtractTrace:
     def test_examples(self):
         assert extract_trace(IntPoly([1, 0, 1])) == IntPoly([0, 1])
         assert extract_trace(IntPoly([1, 0, 0, 0, 1])) == IntPoly([-2, 0, 1])
+        assert extract_trace(IntPoly([-7])) == IntPoly([-7])
 
-    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=10))
-    @settings(max_examples=80)
-    def test_roundtrip(self, lower):
-        tr = IntPoly(lower + [1])
-        t = int(tr.degree)
-        assert extract_trace(lift_trace(tr, t)) == tr
+    # degrees up to MAX_T, coefficients past the 218 bits of the constructed traces at t = 301
+    @given(st.lists(st.integers(-(2**220), 2**220), max_size=MAX_T), st.integers(-(2**220), 2**220).filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_roundtrip(self, lower, lead):
+        tr = IntPoly(lower + [lead])
+        p = lift_trace(tr, int(tr.degree))
+        assert extract_trace(p) == _extract_by_elimination(p) == tr
+
+    @pytest.mark.parametrize("n, t, a", [(12, 9, 3), (92, 61, 111), (596, 301, 85)])
+    def test_benchmark_lifts(self, n, t, a):
+        tr = build_candidate(plan_construction(n, t), a)
+        p = lift_trace(tr, t)
+        assert extract_trace(p) == _extract_by_elimination(p) == tr
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -159,12 +185,25 @@ class TestExtractTrace:
             extract_trace(IntPoly([2, 0, 1]))  # even degree, not reciprocal
 
 
+# the count of cheb(k)'s roots on (0, 1) is (k - e)/6, e the member of this table congruent
+# to k mod 6: the table that k//2 - (2k//3 + 1)//2 replaced, kept as an oracle
+_EPSILON_BY_K_MOD_6 = {0: 0, 1: 1, 2: 2, 3: 3, 4: -2, 5: 5}
+
+
 class TestUnitIntervalCounts:
     def test_closed_form_examples(self):
         assert cheb_roots_in_unit_interval(4) == 1
         assert cheb_roots_in_unit_interval(5) == 0
         assert cheb_roots_in_unit_interval(6) == 1
         assert cheb_roots_in_unit_interval(0) == 0
+        for k in (-1, -6):
+            with pytest.raises(ValueError):
+                cheb_roots_in_unit_interval(k)
+
+    def test_against_table(self):
+        for k in range(10**4):
+            eps = _EPSILON_BY_K_MOD_6[k % 6]
+            assert (k - eps) % 6 == 0 and cheb_roots_in_unit_interval(k) == (k - eps) // 6, k
 
     def test_parity_corollaries(self):
         for k in range(1, 40):
@@ -183,6 +222,9 @@ class TestUnitIntervalCounts:
         assert cyclo_trace_roots_in_unit_interval(44) == 3
         for n in sorted(set(range(3, 301)) | set(PLAN_NS)):
             assert cyclo_trace_roots_in_unit_interval(n) == sturm_count_open(cyclo_trace(n), 0, 1), n
+        for n in (2, 0, -4):
+            with pytest.raises(ValueError):
+                cyclo_trace_roots_in_unit_interval(n)
 
 
 class TestIdentities:
