@@ -2,7 +2,6 @@
 
 from .intpoly import (
     IntPoly,
-    Rational,
     gcd_over_rationals,
     is_reciprocal,
     lift_trace,
@@ -23,7 +22,6 @@ from .construct import (
 
 __all__ = [
     "IntPoly",
-    "Rational",
     "gcd_over_rationals",
     "is_reciprocal",
     "lift_trace",

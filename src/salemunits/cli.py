@@ -355,7 +355,7 @@ A_MAX_HELP = (
 
 K_HELP = (
     f"the degree k, at most {MAX_N}; larger values exit 2. At k = {MAX_N} the polynomial prints"
-    " 7.5 MB in about 0.5 s (2-core x86-64, Python 3.11)"
+    " 7.5 MB in about 0.35 s (2-core x86-64, Python 3.11)"
 )
 
 CTRACE_N_HELP = (

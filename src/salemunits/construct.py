@@ -16,9 +16,9 @@ from math import isqrt, prod
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, _value_at
 # sturm_count_open is unused here but stays bound: the benchmark tracer looks up construct.sturm_count_open
-from .roots import _value_at, sturm_count_open  # noqa: F401
+from .roots import sturm_count_open  # noqa: F401
 from .salem import (
     DEFAULT_PRECISION,
     MAX_A,
@@ -121,16 +121,12 @@ class ConstructionPlan:
 
     @cached_property
     def fixed_values(self) -> Mapping[int, int]:
-        """D^(t-2) F(m/D) by m, for each midpoint m/D of consecutive ``fixed_roots``, D = 2^(_PROBE_BITS+1)."""
-        r, (*low, top) = sorted(self.fixed_roots), self.fixed_product.coeffs
-        shifted = [c << (_PROBE_BITS + 1) * k for k, c in enumerate(reversed(low), 1)]  # c D^k, shifted once for all m
-        values = {}
-        for m in map(sum, zip(r, r[1:])):
-            acc = top
-            for c in shifted:
-                acc = acc * m + c
-            values[m] = acc
-        return MappingProxyType(values)
+        """D^(t-2) F(m/D) by m, for each midpoint m/D of consecutive ``fixed_roots``, D = 2^(_PROBE_BITS+1).
+
+        Each value is ``_value_at``'s, the one exact evaluator, so replay trusts no other Horner loop.
+        """
+        r, f = sorted(self.fixed_roots), self.fixed_product.coeffs
+        return MappingProxyType({m: _value_at(f, m, 2 << _PROBE_BITS) for m in map(sum, zip(r, r[1:]))})
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .intpoly import IntPoly, gcd_over_rationals
-from .roots import RootPattern
+
+if TYPE_CHECKING:
+    from .roots import RootPattern  # roots imports this module
 
 _FILTER_PRIME_COUNT = 5
 _BLOCK = 8  # degrees per gcd in _degree_multiset

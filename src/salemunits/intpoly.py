@@ -3,7 +3,9 @@
 Coefficients are stored in ascending degree order in canonical form (no trailing
 zeros; the zero polynomial is the empty tuple).  Rational values use
 :class:`fractions.Fraction`, which already guarantees reduced form with a
-positive denominator.
+positive denominator.  ``_value_at`` is the one exact evaluator:
+den^deg p(num/den) by homogenized integer Horner.  ``IntPoly.__call__``, every
+sign the root layer reads and the plan's table of values call it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
-
-Rational = Fraction
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,6 @@ class IntPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "IntPoly | int") -> "IntPoly":
@@ -128,12 +123,13 @@ class IntPoly:
             n >>= 1
         return result
 
-    def __call__(self, x: Scalar) -> Scalar:
-        """Evaluate exactly by Horner's rule at an integer or Fraction point."""
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x: int | Fraction) -> int | Fraction:
+        """Exact value by ``_value_at``: an int at an integer x, a Fraction at a Fraction x."""
+        if not self.coeffs:
+            return 0
+        if isinstance(x, int):
+            return _value_at(self.coeffs, x, 1)
+        return Fraction(_value_at(self.coeffs, x.numerator, x.denominator), x.denominator ** (len(self.coeffs) - 1))
 
     def derivative(self) -> "IntPoly":
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -201,12 +197,38 @@ def _as_poly(v: "IntPoly | int") -> IntPoly:
     return v if isinstance(v, IntPoly) else IntPoly([v])
 
 
+def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
+    """Exact sign of the polynomial at x, via homogenized integer Horner."""
+    if not coeffs:
+        return 0
+    v = _value_at(coeffs, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def _value_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """den^deg * p(num/den) for den > 0, by homogenized integer Horner; it has the sign of p.
+
+    The term of c_i is c_i den^(deg - i).  For den = 2^s, den = 1 included,
+    that is c_i << s (deg - i), a shift.  The hinted pattern, its walk and the
+    plan's ``fixed_values`` evaluate only at such points, and so does
+    ``roots._refine_on_grid`` on an interval with dyadic ends.
+    """
+    acc, s = coeffs[-1], den.bit_length() - 1
+    if den == 1 << s:
+        for k, c in enumerate(coeffs[-2::-1], 1):
+            acc = acc * num + (c << s * k)
+        return acc
+    dpow = 1
+    for i in range(len(coeffs) - 2, -1, -1):
+        dpow *= den
+        acc = acc * num + coeffs[i] * dpow
+    return acc
+
+
 def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder rem(lc(b)^(deg a - deg b + 1) * a, b), exact over Z."""
+    """Pseudo-remainder rem(lc(b)^(deg a - deg b + 1) * a, b), exact over Z; a itself when deg a < deg b."""
     if b.is_zero:
         raise ZeroDivisionError("pseudo-division by the zero polynomial")
-    if a.degree < b.degree:
-        return a
     db, lb = len(b.coeffs) - 1, b.lc
     r = list(a.coeffs)
     for e in range(len(a.coeffs) - len(b.coeffs), -1, -1):

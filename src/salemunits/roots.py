@@ -1,7 +1,8 @@
 """Exact real-root counting and isolation via Sturm sequences over rational intervals.
 
 Counts use the half-open convention (lo, hi]; open-interval helpers adjust by
-exact endpoint evaluation.  A chain is the subresultant pseudo-remainder
+exact endpoint evaluation.  Every value and sign is ``intpoly._value_at``'s,
+the one exact evaluator.  A chain is the subresultant pseudo-remainder
 sequence of (f, f') from the one kernel in ``intpoly``: each step divides by a
 known exact divisor instead of taking a content gcd, and each element is
 signed so the sequence is a genuine Sturm chain.  Each query builds its own
@@ -18,7 +19,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .intpoly import IntPoly, subresultant_prs
+from .factor import separable_mod_prime
+from .intpoly import IntPoly, _sign_at, _value_at, subresultant_prs
 
 # bisections of the walk along p' from a wrongly signed arch midpoint towards the arch's peak
 _WALK_STEPS = 6
@@ -58,34 +60,6 @@ class RootPattern:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
-    """Exact sign of the polynomial at x, via homogenized integer Horner."""
-    if not coeffs:
-        return 0
-    v = _value_at(coeffs, x.numerator, x.denominator)
-    return (v > 0) - (v < 0)
-
-
-def _value_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
-    """den^deg * p(num/den) for den > 0, by homogenized integer Horner; it has the sign of p.
-
-    The term of c_i is c_i den^(deg - i).  For den = 2^s, den = 1 included,
-    that is c_i << s (deg - i), a shift.  The hinted pattern and its walk
-    evaluate only at such points, and so does ``_refine_on_grid`` on an
-    interval with dyadic ends.
-    """
-    acc, s = coeffs[-1], den.bit_length() - 1
-    if den == 1 << s:
-        for k, c in enumerate(coeffs[-2::-1], 1):
-            acc = acc * num + (c << s * k)
-        return acc
-    dpow = 1
-    for i in range(len(coeffs) - 2, -1, -1):
-        dpow *= den
-        acc = acc * num + coeffs[i] * dpow
-    return acc
 
 
 def _laguerre_fails(f: tuple[int, ...], d1: tuple[int, ...], d2: tuple[int, ...], num: int, den: int) -> bool:
@@ -166,13 +140,6 @@ class SturmChain:
             raise ValueError("need lo < hi")
         return self.variations(lo) - self.variations(hi)
 
-    def count_open(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct roots in the open interval (lo, hi)."""
-        n = self.count(lo, hi)
-        if _sign_at(self.squarefree, Fraction(hi)) == 0:
-            n -= 1
-        return n
-
 
 def is_separable(p: IntPoly) -> bool:
     """True iff p has no repeated root, i.e. gcd(p, p') = 1."""
@@ -193,7 +160,8 @@ def sturm_count(p: IntPoly, lo, hi) -> int:
 
 def sturm_count_open(p: IntPoly, lo, hi) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi)."""
-    return SturmChain(p).count_open(Fraction(lo), Fraction(hi))
+    chain, hi = SturmChain(p), Fraction(hi)
+    return chain.count(Fraction(lo), hi) - (_sign_at(chain.squarefree, hi) == 0)
 
 
 def _isolate(chain: SturmChain, lo: Fraction, hi: Fraction) -> list[IsolatingInterval]:
@@ -390,8 +358,6 @@ def _hinted_pattern(
                 hi = mid
             mid = (lo + hi) >> 1
         if _laguerre_fails(f, d1, d2, mid, wden):
-            from .factor import separable_mod_prime  # factor imports this module
-
             q = separable_mod_prime(p)  # without it the chain decides: p is not real-rooted either way
             return None, None if q is None else (Fraction(mid, wden), q)
     upto, changes, prev = {}, 0, f[-1] if t % 2 == 0 else -f[-1]
@@ -419,10 +385,9 @@ def root_pattern(p: IntPoly, hints: Optional[tuple] = None) -> Optional[RootPatt
     points, so no Horner runs there; ``product_roots``' checks p against its
     plan first, so they are exact.  Every answer is exact whatever the points.
     Else the chain is read once at each mark: at -inf and +inf from its
-    leading coefficients, and at -2, 0, 1 and 2 by integer evaluation.
+    leading coefficients, and at -2, 0, 1 and 2 by integer evaluation.  The
+    zero polynomial has no chain: ``SturmChain`` raises ValueError.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
     if p.degree == 0:
         return RootPattern(0, 0, 0, 0, 0, 0, True)
     if hints is not None:

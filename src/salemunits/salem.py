@@ -15,12 +15,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .factor import IrreducibilityWitness, is_irreducible, verify_witness
-from .intpoly import ONE, X, IntPoly, is_reciprocal, lift_trace, pseudo_rem, resultant
+from .intpoly import ONE, X, IntPoly, _sign_at, is_reciprocal, lift_trace, pseudo_rem, resultant
 # is_separable and isolate_roots stay bound here: the benchmark tracer times stages by these names
 from .roots import (  # noqa: F401
     IsolatingInterval,
     RootPattern,
-    _sign_at,
     cauchy_bound,
     is_separable,
     isolate_roots,
@@ -224,7 +223,7 @@ def alpha_from_beta(beta_iv: IsolatingInterval, precision_digits: int, poly: Int
         raise ValueError("beta must be a root of a monic polynomial")
     if beta_iv.lo < 2 or beta_iv.hi <= 2:
         raise ValueError("beta interval must lie above 2")
-    if beta_iv.lo == beta_iv.hi and poly(beta_iv.lo) != 0:
+    if beta_iv.lo == beta_iv.hi and _sign_at(poly.coeffs, beta_iv.lo) != 0:
         raise ValueError("the exact beta is not a root of the polynomial")
     work = precision_digits + 4
     scale = 10**precision_digits

@@ -190,8 +190,26 @@ class TestConstructionTable:
                 assert roots._value_at(f, x - 2, den) * roots._value_at(f, x + 2, den) < 0, (n, t, x)
 
 
+def shifted_fixed_values(plan) -> dict[int, int]:
+    """The pre-shifted Horner loop that once made ``fixed_values``, kept as a reference."""
+    r, (*low, top) = sorted(plan.fixed_roots), plan.fixed_product.coeffs
+    shifted = [c << (construct._PROBE_BITS + 1) * k for k, c in enumerate(reversed(low), 1)]
+    values = {}
+    for m in map(sum, zip(r, r[1:])):
+        acc = top
+        for c in shifted:
+            acc = acc * m + c
+        values[m] = acc
+    return values
+
+
 class TestProductRoots:
     """The hints come from the plan that ``plan_construction`` picks, and from nothing else."""
+
+    def test_fixed_values_match_the_shifted_loop(self):
+        for n, t in [(12, 9), (44, 31), (92, 61), (124, 71), (596, 301)]:
+            plan = plan_construction(n, t)
+            assert plan.fixed_values == shifted_fixed_values(plan) and len(plan.fixed_values) == t - 3, (n, t)
 
     def test_fixed_roots_made_on_first_use(self):
         plan = plan_construction.__wrapped__(124, 71)  # a plan of its own, not the shared one

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salemunits.intpoly import (
@@ -24,6 +24,14 @@ from salemunits.salem import MAX_T
 
 polys = st.builds(IntPoly, st.lists(st.integers(-50, 50), max_size=21))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+
+
+def fraction_horner(p: IntPoly, x):
+    """The Horner loop on Fractions that IntPoly.__call__ once ran, kept as a reference."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def sylvester_resultant(p: IntPoly, q: IntPoly) -> Fraction:
@@ -73,11 +81,33 @@ class TestBasics:
         p = IntPoly([7, -2, 5])
         assert p * ONE == p
         assert IntPoly([-2, 1]) * IntPoly([2, 1]) == IntPoly([-4, 0, 1])
+        assert IntPoly([-2, 1]) ** 3 == IntPoly([-8, 12, -6, 1]) and p**0 == ONE
+        with pytest.raises(ValueError, match="negative"):
+            p ** -1
 
     def test_eval_examples(self):
         assert IntPoly([-4, 0, 1])(2) == 0
         assert IntPoly([-1, 1, 1])(Fraction(1, 2)) == Fraction(-1, 4)
         assert ZERO(Fraction(22, 7)) == 0
+
+    @given(
+        polys,
+        st.one_of(
+            st.integers(-(2**70), 2**70),
+            st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**40)),
+            st.sampled_from([0, Fraction(0), Fraction(-7, 1), Fraction(1, 3), Fraction(5, 1 << 33)]),
+        ),
+    )
+    @example(ZERO, 0)
+    @example(ZERO, Fraction(22, 7))
+    @example(IntPoly([9]), Fraction(1, 2))
+    @example(IntPoly([0, 0, 3]), 0)
+    @example(IntPoly([1, 0, -5, 0, 0, 7]), Fraction(-3, 8))
+    @settings(max_examples=200)
+    def test_eval_matches_fraction_horner(self, p, x):
+        # an int point gives an int, a Fraction point a Fraction, and the zero polynomial 0
+        value, expected = p(x), fraction_horner(p, x)
+        assert value == expected and type(value) is type(expected)
 
     def test_derivative_examples(self):
         assert IntPoly([0, 3, 0, -4, 0, 1]).derivative() == IntPoly([3, 0, -12, 0, 5])
@@ -104,6 +134,8 @@ class TestBasics:
         assert num.exact_div(IntPoly([-1, 1])) == IntPoly([1, 1, 1, 1, 1])
         with pytest.raises(ValueError):
             IntPoly([1, 0, 1]).exact_div(IntPoly([-1, 1]))
+        with pytest.raises(ValueError, match="not divisible"):  # the lead 1 is not a multiple of 2
+            IntPoly([1, 0, 1]).exact_div(IntPoly([1, 2]))
         with pytest.raises(ZeroDivisionError):
             num.exact_div(ZERO)
 
@@ -197,6 +229,11 @@ class TestGcd:
         assert gcd_over_rationals(t2, c12) == ONE
         with pytest.raises(ValueError):
             gcd_over_rationals(ZERO, ONE)
+        # pseudo_rem, which gcds and Sturm chains read: deg a < deg b leaves a, and b = 0 raises
+        assert pseudo_rem(t2, c12) == t2 and pseudo_rem(ZERO, t3) == ZERO
+        assert pseudo_rem(c12, t2) == IntPoly([0, -1]) and pseudo_rem(c12, IntPoly([2])) == ZERO
+        with pytest.raises(ZeroDivisionError):
+            pseudo_rem(c12, ZERO)
 
     @given(nonzero_polys, nonzero_polys)
     @settings(max_examples=60)

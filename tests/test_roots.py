@@ -114,6 +114,8 @@ class TestIsolate:
         assert len(ivs) == 1 and ivs[0].lo < ivs[0].hi
 
     def test_counts_and_disjointness(self):
+        # a constant has no root, and its bound is 1
+        assert cauchy_bound(IntPoly([-7])) == cauchy_bound(IntPoly()) == 1
         rng = random.Random(5)
         for _ in range(25):
             deg = rng.randint(2, 9)
@@ -410,10 +412,13 @@ class TestValueAt:
     @example([1, -3, 0, 2], 1, 12)
     @example([3, 1, 4, 1, 5, 9], -7, 3**40)
     @example([2, -1, 0, 5], -(2**39) + 1, 1 << 39)
+    @example([], 3, 7)  # the zero polynomial: its sign is 0, and _value_at is not called
     @settings(max_examples=300, deadline=None)
     def test_homogenized_value(self, coeffs, num, den):
         value = sum(c * Fraction(num, den) ** i for i, c in enumerate(coeffs))
-        assert roots._value_at(tuple(coeffs), num, den) == den ** (len(coeffs) - 1) * value
+        assert roots._sign_at(tuple(coeffs), Fraction(num, den)) == (value > 0) - (value < 0)
+        if coeffs:
+            assert roots._value_at(tuple(coeffs), num, den) == den ** (len(coeffs) - 1) * value
 
 
 class TestRootPattern:
@@ -421,6 +426,9 @@ class TestRootPattern:
         rp = root_pattern(IntPoly([-4, 0, 1]))
         assert rp.at_neg2 == 1 and rp.at_pos2 == 1
         assert rp.below_neg2 == rp.in_neg2_2 == rp.above_pos2 == 0
+        for hints in (None, ([0], 1)):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                root_pattern(IntPoly(), hints)
 
     def test_certified_trace_shape(self):
         # degree-9 candidate: one root above 2, the rest inside (-2, 2)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemunits import factor, roots, salem
+from salemunits import factor, intpoly, roots, salem
 from salemunits.construct import build_candidate, plan_construction, search
 from salemunits.factor import IrreducibilityWitness
 from salemunits.intpoly import IntPoly, lift_trace, resultant
@@ -108,6 +108,10 @@ class TestAlphaFromBeta:
     def test_interval_not_above_2(self):
         with pytest.raises(ValueError):
             alpha_from_beta(IsolatingInterval(Fraction(1), Fraction(3)), 10, IntPoly([1, -3, 1]))
+        # beta^2 - 4 >= 0 above 2; the square root enclosure refuses a negative radicand itself
+        assert salem._sqrt_enclosure(Fraction(9, 4), 3) == (Fraction(3, 2), Fraction(1501, 1000))
+        with pytest.raises(ValueError, match="negative radicand"):
+            salem._sqrt_enclosure(Fraction(-1, 3), 5)
 
 
 class TestCertifyTrace:
@@ -506,13 +510,14 @@ class TestInterlacingReplay:
         # bound, so T is not evaluated at a - 1 or a: every point replay reads stays short
         cert = search(92, 61, 111, 111, 1).certificates[0]
         bits = []
-        value_at = roots._value_at
+        value_at = intpoly._value_at
 
         def recording(f, num, den):
             bits.append(max(num.bit_length(), den.bit_length()))
             return value_at(f, num, den)
 
-        monkeypatch.setattr(roots, "_value_at", recording)
+        for module in (intpoly, roots):  # intpoly's _sign_at and roots' own reads
+            monkeypatch.setattr(module, "_value_at", recording)
         assert verify_certificate(self.replayed(cert, a=10**4000)) == ["beta_location"]
         assert bits and max(bits) <= 1000
 
