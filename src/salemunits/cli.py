@@ -333,9 +333,11 @@ PRECISION_HELP = (
 )
 
 N_HELP = (
-    f"the exponent n of alpha^n - 1, at most {MAX_N}; larger values exit 2. The unit resultant grows"
-    " with n and t: at n = 10000 it takes about 0.2 s at t=9 and 240 s at t=61, and at t=301 0.05 s"
-    " at n = 600, 7.4 s at n = 1200 and 89 s at n = 2400 (2-core x86-64, Python 3.11)"
+    f"the exponent n of alpha^n - 1, at most {MAX_N}; larger values exit 2. A lift that folds to"
+    " +-x^k mod x^n - 1, as every constructed candidate does at its own n, is decided in microseconds."
+    " For any other S the unit resultant grows with n and t: at n = 10000 it takes about 0.2 s at t=9"
+    " and 190 s at t=61, and at t=301 0.05 s at n = 600, 5 s at n = 1200 and 60 s at n = 2400"
+    " (2-core x86-64, Python 3.11)"
 )
 
 

@@ -132,15 +132,27 @@ def _frac_text(x: Fraction) -> str:
 def unit_check(s_poly: IntPoly, n: int) -> int:
     """Exact resultant of x^n - 1 and S; absolute value 1 certifies alpha^n - 1 a unit.
 
-    Always recomputed from scratch, never assumed from the construction.  With
-    r = x^n mod S, found by square-and-multiply, Res(x^n - 1, S) equals
-    Res(r - 1, S) because S is monic: both are the product of rho^n - 1 over
-    the roots rho of S.
+    Recomputed from S and n alone, never assumed from the construction.  Adding
+    coefficient i of S into slot i mod n gives S mod x^n - 1, and Res(S, x^n - 1),
+    the product of S(zeta) over the n-th roots of unity, depends on it alone.  For
+    a residue c x^k, c = +-1, that product is c^n (-1)^((n+1)k), and
+    Res(x^n - 1, S) = (-1)^(n deg S) Res(S, x^n - 1).  Every constructed candidate
+    has such a residue at its own n: C_n (x^2 - 4) divides T + 1 = F A_a, so its
+    lift (x^n - 1)(x^2 - 1) divides S + x^t, the lift of T + 1, and S folds to
+    -x^(t mod n).  Any other S takes r = x^n mod S, by square-and-multiply, and
+    Res(x^n - 1, S) = Res(r - 1, S), both the product of rho^n - 1 over the
+    roots rho of the monic S.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not s_poly.is_monic:
         raise ValueError("minimal polynomial must be monic")
+    fold = [0] * n
+    for i, c in enumerate(s_poly.coeffs):
+        fold[i % n] += c
+    k = next((i for i, c in enumerate(fold) if c), 0)
+    if abs(fold[k]) == 1 and not any(fold[k + 1 :]):
+        return fold[k] ** n * (-1) ** (n * int(s_poly.degree) + (n + 1) * k)
     r = ONE
     for bit in bin(n)[2:]:
         r = r * r
@@ -391,8 +403,9 @@ def verify_certificate(cert: SalemCertificate) -> list[str]:
     # the witness is replayed against the pattern proved here, never the stored one
     if cert.irreducibility.verdict != "irreducible" or not verify_witness(trace, cert.irreducibility, pattern):
         failures.append("irreducibility")
-    # unit_check sees only the rebuilt S, of degree 2t <= 2 MAX_T, and last: a forged
-    # min_poly, n or value fails without it
+    # unit_check sees only the rebuilt S, of degree 2t <= 2 MAX_T, and last: a forged min_poly,
+    # n past its bound or value other than +-1 fails without it.  A constructed S folds to
+    # -x^(t mod n) at its own n, so a forged n or sign fails by the fold's value or the PRS's
     res = cert.resultant_value
     if not (lifted and 1 <= n <= MAX_N and abs(res) == 1 and unit_check(s_poly, n) == res):
         failures.append("resultant")

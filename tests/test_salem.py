@@ -8,6 +8,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from salemunits import factor, intpoly, roots, salem
 from salemunits.construct import build_candidate, plan_construction, search
@@ -30,6 +32,10 @@ from salemunits.salem import (
 
 def _good_trace(a: int = 5) -> IntPoly:
     return build_candidate(plan_construction(12, 9), a)
+
+
+def x_n_minus_1(n: int) -> IntPoly:
+    return IntPoly([-1] + [0] * (n - 1) + [1])
 
 
 class TestUnitCheck:
@@ -60,12 +66,57 @@ class TestUnitCheck:
             IntPoly([1, 1, 1]),  # divides x^n - 1 when 3 | n: r - 1 = 0 and the value 0
             IntPoly([-2, 0, 1]),  # not reciprocal
             IntPoly([1, -1, 0, 2, 5, 1]),
+            IntPoly([1, 0, 0, 0, 0, 0, -1, 1]),  # odd degree, folds to 1 at n = 1: the value is -1
         ],
     )
     def test_matches_dense_resultant(self, s_poly):
         for n in list(range(1, 41)) + [97, 128, 199, 200]:
-            dense = resultant(IntPoly([-1] + [0] * (n - 1) + [1]), s_poly)
-            assert unit_check(s_poly, n) == dense, n
+            assert unit_check(s_poly, n) == resultant(x_n_minus_1(n), s_poly), n
+
+    # S = (x^n - 1) Q + c x^k folds to c x^k; deg S = n + deg Q takes both parities
+    @given(
+        n=st.integers(1, 16),
+        q=st.lists(st.integers(-4, 4), max_size=7),
+        c=st.sampled_from([-1, 1]),
+        k=st.integers(0, 15),
+    )
+    @example(n=1, q=[0, 0, 0, 0, 0, 0], c=1, k=0)  # deg S = 7 at n = 1: the sign (-1)^(n deg S) is -1
+    @example(n=2, q=[3], c=-1, k=1)
+    @settings(max_examples=300)
+    def test_fold_sign(self, n, q, c, k):
+        s_poly = x_n_minus_1(n) * IntPoly(q + [1]) + IntPoly([0] * (k % n) + [c])
+        assert unit_check(s_poly, n) == resultant(x_n_minus_1(n), s_poly)
+
+    def test_every_constructed_candidate_folds(self, monkeypatch):
+        # admitted plans with t <= 71: S is -x^t mod x^n - 1, so no PRS runs
+        lifts = [
+            (n, lift_trace(build_candidate(plan_construction(n, t), a), t))
+            for n in range(4, 137, 8)
+            if n % 5
+            for t in range((n + 6) // 2, 72, 2)
+            for a in (3, 50, 200)
+        ]
+        assert len(lifts) == 738
+
+        def refuse(*args):
+            raise AssertionError("the general route ran")
+
+        monkeypatch.setattr(salem, "resultant", refuse)
+        monkeypatch.setattr(salem, "pseudo_rem", refuse)
+        for n, s_poly in lifts:
+            assert unit_check(s_poly, n) == resultant(x_n_minus_1(n), s_poly) == -1, n
+
+    def test_forged_coefficient_takes_the_prs(self, monkeypatch):
+        t = 61
+        coeffs = list(build_candidate(plan_construction(92, t), 111).coeffs)
+        coeffs[7] += 1
+        s_poly = lift_trace(IntPoly(coeffs), t)
+        calls = []
+        monkeypatch.setattr(salem, "resultant", lambda p, q: calls.append(p) or resultant(p, q))
+        value = unit_check(s_poly, 92)
+        assert len(calls) == 1
+        assert value == resultant(x_n_minus_1(92), s_poly)
+        assert abs(value) != 1
 
 
 class TestAlphaFromBeta:
@@ -282,6 +333,26 @@ class TestCertificate:
             except CertificationError:
                 rejected += 1
         assert rejected == trials
+
+
+class TestUnitReplay:
+    """Replay decides the resultant from the stored S and n by the fold, so a forged n or sign fails."""
+
+    @pytest.fixture(scope="class")
+    def cert(self):
+        return search(92, 61, 111, 111, 1).certificates[0]
+
+    def test_valid(self, cert):
+        assert cert.resultant_value == -1
+        assert verify_certificate(cert) == []
+
+    def test_forged_n(self, cert):
+        # (84, 61) is an admitted plan too, but S does not fold to +-x^k mod x^84 - 1
+        assert abs(unit_check(cert.min_poly, 84)) != 1
+        assert verify_certificate(replace(cert, n=84)) == ["resultant"]
+
+    def test_flipped_sign(self, cert):
+        assert verify_certificate(replace(cert, resultant_value=1)) == ["resultant"]
 
 
 def _forged_certificate(trace: IntPoly, n: int, witness: IrreducibilityWitness) -> SalemCertificate:
